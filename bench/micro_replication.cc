@@ -23,6 +23,11 @@
 //                                   on the replica, so this should cost
 //                                   roughly one normal round trip —
 //                                   tracked to prove the insulation.
+//   fingerprint_us  one ModelLake::ReplicationFingerprint() call (the
+//              replica's periodic divergence check, run on leader and
+//              replica alike) on a lake of 5,000 metadata-only models,
+//              and on the same lake at 1,000 models to show the cost
+//              does not grow with the lake.
 //
 // Emits BENCH_replication.json (shared JsonBench schema).
 //
@@ -30,8 +35,10 @@
 //   --quick  CI-sized run (fewer models, shorter measurement windows)
 //   --out    JSON path (default: BENCH_replication.json in the cwd)
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -42,6 +49,7 @@
 #include "bench/exp_util.h"
 #include "cluster/router.h"
 #include "common/file_util.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "core/model_lake.h"
 #include "nn/trainer.h"
@@ -101,6 +109,94 @@ void PopulateLeader(core::ModelLake* leader, size_t count) {
   }
   Check(leader->RegisterDataset("bench/corpus", {"s1", "s2"}),
         "RegisterDataset");
+}
+
+#ifndef MLAKE_BUILD_TYPE
+#define MLAKE_BUILD_TYPE "unknown"
+#endif
+
+constexpr size_t kFingerprintModels = 5000;
+constexpr size_t kFingerprintSmallModels = 1000;
+
+/// Adds metadata-only models [from, to) to `lake` (cards shaped like the
+/// perfbench population's, random unit embeddings), in batches of 512.
+void IngestMetadataModels(core::ModelLake* lake, size_t from, size_t to) {
+  const char* tasks[] = {"summarization", "classification", "retrieval",
+                         "translation"};
+  const char* domains[] = {"legal", "news", "social", "finance", "medical"};
+  Rng rng(9000 + from);
+  std::vector<core::CardIngest> batch;
+  for (size_t i = from; i < to; ++i) {
+    core::CardIngest ingest;
+    metadata::ModelCard& card = ingest.card;
+    card.model_id = StrFormat("fp-%06zu", i);
+    card.name = card.model_id;
+    card.task = tasks[i % 4];
+    card.tags = {domains[i % 5]};
+    card.architecture = "mlp";
+    card.description = StrFormat("Synthetic %s model for %s text.",
+                                 card.task.c_str(), domains[i % 5]);
+    card.training_datasets = {card.task + "/" + domains[i % 5]};
+    card.creator = "micro-replication";
+    card.license = "apache-2.0";
+    double norm = 0.0;
+    for (int64_t d = 0; d < lake->EmbeddingDim(); ++d) {
+      float x = static_cast<float>(rng.Normal());
+      ingest.embedding.push_back(x);
+      norm += double(x) * x;
+    }
+    for (float& x : ingest.embedding) {
+      x = static_cast<float>(x / std::sqrt(norm > 0 ? norm : 1.0));
+    }
+    batch.push_back(std::move(ingest));
+    if (batch.size() == 512 || i + 1 == to) {
+      Unwrap(lake->IngestCards(batch), "IngestCards");
+      batch.clear();
+    }
+  }
+}
+
+/// Median per-call wall time of ReplicationFingerprint(), in
+/// microseconds, over up to 200 samples (at least 3, stopping after
+/// ~2 s). A sample averages enough back-to-back calls to span ~1 ms, so
+/// clock overhead does not swamp a microsecond call.
+Json FingerprintEntryJson(const std::string& name,
+                          const core::ModelLake& lake, size_t models) {
+  auto probe = Clock::now();
+  std::string fingerprint = lake.ReplicationFingerprint();
+  const double probe_us =
+      std::chrono::duration<double, std::micro>(Clock::now() - probe).count();
+  const int calls_per_sample =
+      static_cast<int>(std::clamp(1000.0 / std::max(probe_us, 0.001), 1.0,
+                                  1000.0));
+  std::vector<double> us;
+  auto start = Clock::now();
+  while (us.size() < 200 &&
+         (us.size() < 3 || Clock::now() - start < std::chrono::seconds(2))) {
+    auto t0 = Clock::now();
+    for (int c = 0; c < calls_per_sample; ++c) {
+      fingerprint = lake.ReplicationFingerprint();
+    }
+    us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count() /
+        calls_per_sample);
+  }
+  std::sort(us.begin(), us.end());
+  double median = us[us.size() / 2];
+  Json entry = Json::MakeObject();
+  entry.Set("name", name);
+  entry.Set("models", models);
+  entry.Set("samples", us.size());
+  entry.Set("calls_per_sample", calls_per_sample);
+  entry.Set("median_us", median);
+  entry.Set("min_us", us.front());
+  entry.Set("max_us", us.back());
+  entry.Set("ns_per_op", median * 1000.0);
+  std::printf("  %-28s %10.2f us median of %zu samples x %d calls  (%zu "
+              "models, min %.2f, max %.2f)\n",
+              name.c_str(), median, us.size(), calls_per_sample, models,
+              us.front(), us.back());
+  return entry;
 }
 
 const std::vector<std::string>& KeywordBodies() {
@@ -391,11 +487,35 @@ int Main(int argc, char** argv) {
 
   Check(replica_server->Stop(), "replica server final Stop");
 
+  // -- fingerprint: one divergence-check fingerprint on a 5k-model lake --
+  std::printf("\nfingerprint: ReplicationFingerprint() on a metadata-only "
+              "lake:\n");
+  // Default lake dimensions, as mlaked and the perfbench shards use.
+  core::LakeOptions fingerprint_options;
+  fingerprint_options.root = JoinPath(root.path(), "fingerprint");
+  fingerprint_options.background_compaction = false;
+  fingerprint_options.replication_log = true;
+  auto fingerprint_lake = Unwrap(core::ModelLake::Open(fingerprint_options),
+                                 "fingerprint lake");
+  IngestMetadataModels(fingerprint_lake.get(), 0, kFingerprintSmallModels);
+  Json small_entry = FingerprintEntryJson(
+      "fingerprint_us_1k", *fingerprint_lake, kFingerprintSmallModels);
+  const double fingerprint_small_us = small_entry.GetDouble("median_us");
+  entries.Append(std::move(small_entry));
+  IngestMetadataModels(fingerprint_lake.get(), kFingerprintSmallModels,
+                       kFingerprintModels);
+  Json large_entry = FingerprintEntryJson("fingerprint_us", *fingerprint_lake,
+                                          kFingerprintModels);
+  const double fingerprint_us = large_entry.GetDouble("median_us");
+  entries.Append(std::move(large_entry));
+  fingerprint_lake.reset();
+
   Json report = Json::MakeObject();
   report.Set("suite", "replication");
 
   Json meta = Json::MakeObject();
   meta.Set("cores", static_cast<int64_t>(std::thread::hardware_concurrency()));
+  meta.Set("build_type", MLAKE_BUILD_TYPE);
   meta.Set("clients", static_cast<int64_t>(kClients));
   meta.Set("models", num_models);
   meta.Set("log_entries", leader_last_seq);
@@ -405,6 +525,7 @@ int Main(int argc, char** argv) {
                    .count()));
   meta.Set("quick", quick);
   meta.Set("catchup_converged", converged);
+  meta.Set("fingerprint_models", kFingerprintModels);
   meta.Set(
       "failover_note",
       "Routed reads prefer the replica, so failover_read_backend_loss "
@@ -421,6 +542,10 @@ int Main(int argc, char** argv) {
   derived.Set("replica_read_qps", replica_read_qps);
   derived.Set("failover_first_read_us", backend_loss.first_read_us);
   derived.Set("leader_loss_first_read_us", leader_loss.first_read_us);
+  derived.Set("fingerprint_us", fingerprint_us);
+  derived.Set("fingerprint_growth_1k_to_5k",
+              fingerprint_small_us > 0 ? fingerprint_us / fingerprint_small_us
+                                       : 0.0);
   report.Set("derived", std::move(derived));
 
   Check(mlake::WriteFile(out, report.Dump(2) + "\n"), "WriteFile");

@@ -438,14 +438,12 @@ HttpResponse Router::Dispatch(const HttpRequest& request,
   int64_t deadline_ms = options_.default_deadline_ms;
   std::string_view header = request.Header("x-mlake-deadline-ms");
   if (!header.empty()) {
-    char* end = nullptr;
-    long v = std::strtol(std::string(header).c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0) {
+    Result<int64_t> parsed = server::ParseDeadlineMs(header);
+    if (!parsed.ok()) {
       *endpoint_label = "(malformed)";
-      return ErrorResponse(
-          Status::InvalidArgument("malformed X-Mlake-Deadline-Ms header"));
+      return ErrorResponse(parsed.status());
     }
-    deadline_ms = v;
+    deadline_ms = parsed.ValueUnsafe();
   }
   auto deadline = arrival + std::chrono::milliseconds(deadline_ms);
 

@@ -185,6 +185,65 @@ std::string Sha256::HexDigest(const void* data, size_t len) {
   return ToHex(digest.data(), digest.size());
 }
 
+namespace {
+
+uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
+
+}  // namespace
+
+void SetDigest::Add(const Hash& record) {
+  uint64_t carry = 0;
+  for (size_t i = 0; i < limbs_.size(); ++i) {
+    uint64_t x = LoadLe64(record.data() + 8 * i);
+    uint64_t sum = limbs_[i] + x;
+    uint64_t carry_out = sum < x ? 1 : 0;
+    limbs_[i] = sum + carry;
+    carry_out |= limbs_[i] < sum ? 1 : 0;
+    carry = carry_out;
+  }
+}
+
+void SetDigest::Remove(const Hash& record) {
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < limbs_.size(); ++i) {
+    uint64_t x = LoadLe64(record.data() + 8 * i);
+    uint64_t diff = limbs_[i] - x;
+    uint64_t borrow_out = limbs_[i] < x ? 1 : 0;
+    borrow_out |= diff < borrow ? 1 : 0;
+    limbs_[i] = diff - borrow;
+    borrow = borrow_out;
+  }
+}
+
+SetDigest::Hash SetDigest::bytes() const {
+  Hash out;
+  for (size_t i = 0; i < limbs_.size(); ++i) {
+    for (size_t b = 0; b < 8; ++b) {
+      out[8 * i + b] = static_cast<uint8_t>(limbs_[i] >> (8 * b));
+    }
+  }
+  return out;
+}
+
+SetDigest::Hash RecordHash(std::string_view kind, std::string_view id,
+                           std::string_view bytes) {
+  Sha256 hasher;
+  for (std::string_view field : {kind, id, bytes}) {
+    uint8_t len[8];
+    for (size_t b = 0; b < 8; ++b) {
+      len[b] = static_cast<uint8_t>(static_cast<uint64_t>(field.size()) >>
+                                    (8 * b));
+    }
+    hasher.Update(len, sizeof(len));
+    hasher.Update(field);
+  }
+  return hasher.Finish();
+}
+
 std::string ToHex(const uint8_t* data, size_t len) {
   static const char* kHex = "0123456789abcdef";
   std::string out;

@@ -48,6 +48,37 @@ class Sha256 {
   uint64_t total_len_ = 0;
 };
 
+/// Order-independent digest of a multiset of records: the sum, modulo
+/// 2^256, of every record's 32-byte hash. Inserting a record adds its
+/// hash and erasing one subtracts it, so a digest kept in step with a
+/// set costs O(record) per mutation and always equals the digest built
+/// anew over the same records, in any order. It is a fault
+/// detector, not an authenticator: someone who picks the records can
+/// make two sets collide.
+class SetDigest {
+ public:
+  using Hash = std::array<uint8_t, 32>;
+
+  void Add(const Hash& record);
+  void Remove(const Hash& record);
+
+  /// The sum as 32 little-endian bytes (all zero for the empty set).
+  Hash bytes() const;
+
+  bool operator==(const SetDigest& other) const {
+    return limbs_ == other.limbs_;
+  }
+  bool operator!=(const SetDigest& other) const { return !(*this == other); }
+
+ private:
+  std::array<uint64_t, 4> limbs_{};  // little-endian 64-bit limbs
+};
+
+/// SHA-256 over length-prefixed (kind, id, bytes): the per-record hash
+/// that SetDigest combines.
+SetDigest::Hash RecordHash(std::string_view kind, std::string_view id,
+                           std::string_view bytes);
+
 /// Lowercase hex encoding of a byte buffer.
 std::string ToHex(const uint8_t* data, size_t len);
 

@@ -76,6 +76,18 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
+std::optional<uint64_t> ParseUint(std::string_view s) {
+  if (s.empty()) return std::nullopt;
+  uint64_t value = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return std::nullopt;
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

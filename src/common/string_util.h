@@ -2,6 +2,8 @@
 #define MLAKE_COMMON_STRING_UTIL_H_
 
 #include <cstdarg>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +30,11 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
+/// Parses a base-10 unsigned integer: one or more ASCII digits and
+/// nothing else (no sign, no whitespace). nullopt on empty input, any
+/// other byte, or a value above 2^64 - 1.
+std::optional<uint64_t> ParseUint(std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

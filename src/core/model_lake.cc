@@ -25,6 +25,14 @@ namespace {
 /// the cap only bounds pathological many-distinct-query workloads).
 constexpr size_t kPlanCacheCap = 512;
 
+/// The catalog kinds that are replicated state, in fingerprint order.
+/// Local-only kinds ("graph", "degraded", ...) are never digested.
+const std::vector<std::string>& ReplicatedKinds() {
+  static const std::vector<std::string> kinds = {"model", "card",
+                                                 "embedding", "dataset"};
+  return kinds;
+}
+
 Json FloatsToJson(const std::vector<float>& v) {
   Json arr = Json::MakeArray();
   for (float x : v) arr.Append(Json(static_cast<double>(x)));
@@ -96,7 +104,8 @@ Status ModelLake::Initialize() {
   blobs_ = std::make_unique<storage::BlobStore>(std::move(blobs));
   MLAKE_ASSIGN_OR_RETURN(
       catalog_,
-      storage::Catalog::Open(JoinPath(options_.root, "catalog.log"), fs_));
+      storage::Catalog::Open(JoinPath(options_.root, "catalog.log"), fs_,
+                             ReplicatedKinds()));
   MLAKE_ASSIGN_OR_RETURN(
       storage::IntentJournal journal,
       storage::IntentJournal::Open(JoinPath(options_.root, "journal"), fs_,
@@ -1475,34 +1484,17 @@ Result<std::string> ModelLake::ReadBlob(const std::string& digest) const {
   return blobs_->Get(digest);
 }
 
-std::string ModelLake::ReplicationFingerprintUnlocked() const {
-  std::string acc;
-  auto mix = [&acc](const std::string& piece) {
-    acc = Sha256::HexDigest(acc + piece);
-  };
-  for (const char* kind : {"model", "card", "embedding", "dataset"}) {
-    for (const std::string& id : catalog_->ListIds(kind)) {  // sorted
-      Result<Json> doc = catalog_->GetDoc(kind, id);
-      mix(std::string(kind) + "|" + id + "|" +
-          (doc.ok() ? doc.ValueUnsafe().Dump() : std::string("<unreadable>")));
-    }
-  }
-  std::vector<std::string> edges;
-  edges.reserve(graph_.NumEdges());
-  for (const versioning::VersionEdge& e : graph_.Edges()) {
-    edges.push_back(
-        StrFormat("edge|%s|%s|%s|%.17g|%s", e.parent.c_str(), e.child.c_str(),
-                  std::string(versioning::EdgeTypeToString(e.type)).c_str(),
-                  e.confidence, e.params.is_null() ? "" : e.params.Dump().c_str()));
-  }
-  std::sort(edges.begin(), edges.end());
-  for (const std::string& e : edges) mix(e);
-  return acc;
-}
-
 std::string ModelLake::ReplicationFingerprint() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return ReplicationFingerprintUnlocked();
+  Sha256 hasher;
+  for (const std::string& kind : ReplicatedKinds()) {
+    SetDigest::Hash digest = catalog_->KindDigest(kind).bytes();
+    hasher.Update(digest.data(), digest.size());
+  }
+  SetDigest::Hash edges = graph_.edge_digest().bytes();
+  hasher.Update(edges.data(), edges.size());
+  SetDigest::Hash out = hasher.Finish();
+  return ToHex(out.data(), out.size());
 }
 
 Result<Json> ModelLake::ReplicationSeedJson() const {

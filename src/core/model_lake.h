@@ -440,12 +440,16 @@ class ModelLake : public search::SearchContext {
   /// Raw blob bytes by content digest (the replication blob fetch).
   Result<std::string> ReadBlob(const std::string& digest) const;
 
-  /// SHA-256 over the lake's replicated logical state: sorted
-  /// model/card/embedding/dataset docs plus sorted lineage edges. Index
-  /// internals and the graph revision counter are deliberately excluded
-  /// (compaction timing and rolled-back ingests may differ between
-  /// leader and replica without any logical divergence). Equal
-  /// fingerprints ⇒ the replica has converged.
+  /// Hex SHA-256 over the lake's replicated logical state: the
+  /// catalog's model/card/embedding/dataset digests and the lineage
+  /// edge digest (DESIGN.md §14). Each is an order-independent
+  /// SetDigest that its owner keeps exact on every write, so this is
+  /// O(1), not a scan of the lake. Local-only kinds ("graph/main",
+  /// "degraded"), index internals and the graph revision counter are
+  /// excluded: compaction timing, quarantine and rolled-back ingests
+  /// may differ between leader and replica without any logical
+  /// divergence. Equal fingerprints ⇒ the replica has converged (a
+  /// fault detector, not an authenticator).
   std::string ReplicationFingerprint() const;
 
   /// Full logical state as a re-seed manifest: {"epoch", "upto_seq",
@@ -781,7 +785,6 @@ class ModelLake : public search::SearchContext {
   Status RecordEdgeLocked(const versioning::VersionEdge& edge);
   Status RegisterDatasetLocked(const std::string& name,
                                const std::vector<std::string>& shards);
-  std::string ReplicationFingerprintUnlocked() const;
   /// The mutation phase of IngestCards (catalog docs + incremental
   /// index updates; no blobs, no graph).
   Status ApplyCards(const std::vector<CardIngest>& batch);

@@ -29,12 +29,15 @@
 // writes here.
 //
 // Divergence: every `fingerprint_interval_polls` caught-up polls the
-// replica compares logical-state fingerprints with the leader; a
-// mismatch (or a log GET answered 409 because the leader truncated past
-// our watermark, or a Corruption during apply) triggers a re-seed: the
-// leader's full manifest arrives framed in a PR-6 snapshot container
-// (CRC-validated), is diffed against local state, and repairs bring the
-// replica to the seed's upto_seq exactly.
+// replica compares logical-state fingerprints with the leader. Both
+// sides read ModelLake::ReplicationFingerprint, which is O(1): the
+// catalog and the lineage graph keep order-independent digests up to
+// date on every write, so an exchange costs microseconds, not a scan
+// of the lake. A mismatch (or a log GET answered 409 because the
+// leader truncated past our watermark, or a Corruption during apply)
+// triggers a re-seed: the leader's full manifest arrives framed in an
+// MLSNAP01 snapshot container (CRC-validated), is diffed against local
+// state, and repairs bring the replica to the seed's upto_seq exactly.
 
 #include <atomic>
 #include <map>

@@ -1,8 +1,11 @@
 #include "server/http.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 
 #include "common/string_util.h"
 
@@ -110,17 +113,16 @@ Result<size_t> ParseHeadersAndBody(
   size_t content_length = 0;
   std::string_view cl = FindHeader(*headers, "content-length");
   if (!cl.empty()) {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(std::string(cl).c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    std::optional<uint64_t> v = ParseUint(cl);
+    if (!v.has_value()) {
       return Status::InvalidArgument("malformed Content-Length");
     }
-    content_length = static_cast<size_t>(v);
-  }
-  if (content_length > max_body_bytes) {
-    return Status::ResourceExhausted("request body exceeds " +
-                                     std::to_string(max_body_bytes) +
-                                     " bytes");
+    if (*v > max_body_bytes) {
+      return Status::ResourceExhausted("request body exceeds " +
+                                       std::to_string(max_body_bytes) +
+                                       " bytes");
+    }
+    content_length = static_cast<size_t>(*v);
   }
   if (buf.size() - pos < content_length) return size_t{0};  // need more
   body->assign(buf.substr(pos, content_length));
@@ -305,6 +307,15 @@ std::string SerializeHttpRequest(
   out += "\r\n";
   out += std::string(body);
   return out;
+}
+
+Result<int64_t> ParseDeadlineMs(std::string_view header) {
+  constexpr uint64_t kMaxDeadlineMs = 365ull * 24 * 3600 * 1000;
+  std::optional<uint64_t> v = ParseUint(header);
+  if (!v.has_value() || *v == 0) {
+    return Status::InvalidArgument("malformed X-Mlake-Deadline-Ms header");
+  }
+  return static_cast<int64_t>(std::min(*v, kMaxDeadlineMs));
 }
 
 std::string_view HttpStatusText(int status) {

@@ -102,6 +102,12 @@ std::string SerializeHttpRequest(
     std::string_view method, std::string_view target, std::string_view body,
     const std::vector<std::pair<std::string, std::string>>& headers);
 
+/// Parses an X-Mlake-Deadline-Ms value: a positive base-10 integer
+/// (ParseUint rules: digits only). Values above one year are clamped to
+/// one year, so deadline arithmetic on the steady clock cannot
+/// overflow. InvalidArgument when malformed or zero.
+Result<int64_t> ParseDeadlineMs(std::string_view header);
+
 /// Reason phrase for the handful of codes mlaked emits ("OK",
 /// "Not Found", ...); "Unknown" otherwise.
 std::string_view HttpStatusText(int status);

@@ -540,13 +540,9 @@ HttpResponse LakeServer::Dispatch(const HttpRequest& request,
   int64_t deadline_ms = options_.default_deadline_ms;
   std::string_view header = request.Header("x-mlake-deadline-ms");
   if (!header.empty()) {
-    char* end = nullptr;
-    long v = std::strtol(std::string(header).c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0) {
-      return ErrorResponse(
-          Status::InvalidArgument("malformed X-Mlake-Deadline-Ms header"));
-    }
-    deadline_ms = v;
+    Result<int64_t> parsed = ParseDeadlineMs(header);
+    if (!parsed.ok()) return ErrorResponse(parsed.status());
+    deadline_ms = parsed.ValueUnsafe();
   }
   bool has_deadline = deadline_ms > 0;
   auto deadline = arrival + std::chrono::milliseconds(deadline_ms);

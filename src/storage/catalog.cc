@@ -2,22 +2,60 @@
 
 namespace mlake::storage {
 
-Result<std::unique_ptr<Catalog>> Catalog::Open(const std::string& path,
-                                               Fs* fs) {
-  MLAKE_ASSIGN_OR_RETURN(std::unique_ptr<KvStore> kv,
-                         KvStore::Open(path, {}, fs));
-  return std::unique_ptr<Catalog>(new Catalog(std::move(kv)));
-}
+namespace {
 
-Status Catalog::PutDoc(const std::string& kind, const std::string& id,
-                       const Json& doc) {
+Status ValidateKey(const std::string& kind, const std::string& id) {
   if (kind.empty() || id.empty()) {
     return Status::InvalidArgument("catalog: empty kind or id");
   }
   if (kind.find('/') != std::string::npos) {
     return Status::InvalidArgument("catalog: kind must not contain '/'");
   }
-  return kv_->Put(KeyFor(kind, id), doc.Dump());
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::unique_ptr<Catalog>> Catalog::Open(
+    const std::string& path, Fs* fs,
+    const std::vector<std::string>& digest_kinds) {
+  MLAKE_ASSIGN_OR_RETURN(std::unique_ptr<KvStore> kv,
+                         KvStore::Open(path, {}, fs));
+  std::unique_ptr<Catalog> catalog(new Catalog(std::move(kv)));
+  // Built over the replayed index, so torn-tail truncation, compaction
+  // and reopen all start from exact digests.
+  for (const std::string& kind : digest_kinds) {
+    const std::string prefix = kind + "/";
+    SetDigest& digest = catalog->digests_[kind];
+    catalog->kv_->ForEachPrefix(
+        prefix, [&](const std::string& key, const std::string& value) {
+          digest.Add(RecordHash(kind,
+                                std::string_view(key).substr(prefix.size()),
+                                value));
+        });
+  }
+  return catalog;
+}
+
+void Catalog::UpdateDigest(const std::string& kind, const std::string& id,
+                           const KvPrior& prior, const std::string* current) {
+  if (!prior.applied) return;
+  auto it = digests_.find(kind);
+  if (it == digests_.end()) return;
+  if (prior.value.has_value()) {
+    it->second.Remove(RecordHash(kind, id, *prior.value));
+  }
+  if (current != nullptr) it->second.Add(RecordHash(kind, id, *current));
+}
+
+Status Catalog::PutDoc(const std::string& kind, const std::string& id,
+                       const Json& doc) {
+  MLAKE_RETURN_NOT_OK(ValidateKey(kind, id));
+  const std::string bytes = doc.Dump();
+  KvPrior prior;
+  Status st = kv_->Put(KeyFor(kind, id), bytes, &prior);
+  UpdateDigest(kind, id, prior, &bytes);
+  return st;
 }
 
 Result<Json> Catalog::GetDoc(const std::string& kind,
@@ -31,7 +69,17 @@ bool Catalog::Contains(const std::string& kind, const std::string& id) const {
 }
 
 Status Catalog::DeleteDoc(const std::string& kind, const std::string& id) {
-  return kv_->Delete(KeyFor(kind, id));
+  // A '/' in kind would alias another kind's key and bypass its digest.
+  MLAKE_RETURN_NOT_OK(ValidateKey(kind, id));
+  KvPrior prior;
+  Status st = kv_->Delete(KeyFor(kind, id), &prior);
+  UpdateDigest(kind, id, prior, nullptr);
+  return st;
+}
+
+SetDigest Catalog::KindDigest(const std::string& kind) const {
+  auto it = digests_.find(kind);
+  return it == digests_.end() ? SetDigest() : it->second;
 }
 
 std::vector<std::string> Catalog::ListIds(const std::string& kind) const {

@@ -1,10 +1,12 @@
 #ifndef MLAKE_STORAGE_CATALOG_H_
 #define MLAKE_STORAGE_CATALOG_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/result.h"
 #include "storage/kv_store.h"
@@ -16,11 +18,21 @@ namespace mlake::storage {
 /// Keys are "<kind>/<id>" where kind is one of the lake's entity kinds
 /// ("model", "card", "edge", "benchmark", ...). All lake metadata that
 /// is not raw weights lives here.
+///
+/// Each kind named in `digest_kinds` at Open keeps a SetDigest over its
+/// documents, one RecordHash(kind, id, stored bytes) per document. Open
+/// builds the digests once over the replayed index; PutDoc and
+/// DeleteDoc then keep them exact in O(document), so KindDigest is
+/// O(1) and always equals the digest rebuilt over the kind. Other
+/// kinds are never hashed, so a large local-only document (the lake's
+/// persisted graph, rewritten on every lineage change) costs no extra
+/// hashing per write.
 class Catalog {
  public:
   /// `fs` is the storage seam (nullptr = real filesystem).
-  static Result<std::unique_ptr<Catalog>> Open(const std::string& path,
-                                               Fs* fs = nullptr);
+  static Result<std::unique_ptr<Catalog>> Open(
+      const std::string& path, Fs* fs = nullptr,
+      const std::vector<std::string>& digest_kinds = {});
 
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
@@ -37,17 +49,15 @@ class Catalog {
   /// All ids of a kind, sorted.
   std::vector<std::string> ListIds(const std::string& kind) const;
 
-  size_t CountKind(const std::string& kind) const {
-    return ListIds(kind).size();
-  }
+  /// The digest of every document of `kind`. Kinds not named in
+  /// `digest_kinds` at Open have none and read as the empty set.
+  SetDigest KindDigest(const std::string& kind) const;
 
   /// Compacts the underlying log.
   Status Compact() { return kv_->Compact(); }
 
   /// Durability point: fsyncs the underlying log (see KvStore::Sync).
   Status Sync() { return kv_->Sync(); }
-
-  KvStore* kv() { return kv_.get(); }
 
  private:
   explicit Catalog(std::unique_ptr<KvStore> kv) : kv_(std::move(kv)) {}
@@ -56,7 +66,13 @@ class Catalog {
     return kind + "/" + id;
   }
 
+  /// Moves `kind`'s digest from `prior` to `current` (nullptr = absent)
+  /// when the write reached the index and the kind is digested.
+  void UpdateDigest(const std::string& kind, const std::string& id,
+                    const KvPrior& prior, const std::string* current);
+
   std::unique_ptr<KvStore> kv_;
+  std::map<std::string, SetDigest> digests_;  // digested kind -> digest
 };
 
 }  // namespace mlake::storage

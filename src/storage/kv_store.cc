@@ -138,15 +138,18 @@ Status KvStore::AppendRecord(uint8_t type, const std::string& key,
   return Status::OK();
 }
 
-Status KvStore::Put(const std::string& key, std::string_view value) {
+Status KvStore::Put(const std::string& key, std::string_view value,
+                    KvPrior* prior) {
   if (key.empty()) return Status::InvalidArgument("empty key");
   MLAKE_RETURN_NOT_OK(AppendRecord(kTypePut, key, value));
-  auto it = index_.find(key);
-  if (it != index_.end()) {
+  auto [it, inserted] = index_.try_emplace(key);
+  if (!inserted) {
     live_bytes_ -= RecordSize(key, it->second);
+    if (prior != nullptr) prior->value = std::move(it->second);
   }
   live_bytes_ += RecordSize(key, value);
-  index_[key] = std::string(value);
+  it->second.assign(value);
+  if (prior != nullptr) prior->applied = true;
   return MaybeAutoCompact();
 }
 
@@ -162,7 +165,7 @@ bool KvStore::Contains(const std::string& key) const {
   return index_.count(key) > 0;
 }
 
-Status KvStore::Delete(const std::string& key) {
+Status KvStore::Delete(const std::string& key, KvPrior* prior) {
   auto it = index_.find(key);
   if (it == index_.end()) return Status::OK();
   // Tombstone lands in the log before the index forgets the key (same
@@ -170,17 +173,30 @@ Status KvStore::Delete(const std::string& key) {
   // in-memory delete that a reopen silently resurrects.
   MLAKE_RETURN_NOT_OK(AppendRecord(kTypeDelete, key, ""));
   live_bytes_ -= RecordSize(key, it->second);
+  if (prior != nullptr) {
+    prior->applied = true;
+    prior->value = std::move(it->second);
+  }
   index_.erase(it);
   return MaybeAutoCompact();
 }
 
 std::vector<std::string> KvStore::ScanPrefix(const std::string& prefix) const {
   std::vector<std::string> keys;
+  ForEachPrefix(prefix, [&keys](const std::string& key, const std::string&) {
+    keys.push_back(key);
+  });
+  return keys;
+}
+
+void KvStore::ForEachPrefix(
+    const std::string& prefix,
+    const std::function<void(const std::string& key,
+                             const std::string& value)>& fn) const {
   for (auto it = index_.lower_bound(prefix); it != index_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    keys.push_back(it->first);
+    fn(it->first, it->second);
   }
-  return keys;
 }
 
 Status KvStore::Compact() {

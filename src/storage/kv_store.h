@@ -1,8 +1,10 @@
 #ifndef MLAKE_STORAGE_KV_STORE_H_
 #define MLAKE_STORAGE_KV_STORE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,16 @@ struct KvCompactionPolicy {
   bool automatic = true;
 };
 
+/// What a Put or Delete displaced, for callers that keep state derived
+/// from the index in step with it (Catalog's digests). `applied` turns
+/// true once the index has taken the write, which can precede an error
+/// from the auto-compaction that follows it.
+struct KvPrior {
+  bool applied = false;
+  /// The key's value before the write; nullopt when it was absent.
+  std::optional<std::string> value;
+};
+
 class KvStore {
  public:
   /// `fs` is the filesystem seam every durable op goes through; nullptr
@@ -49,17 +61,26 @@ class KvStore {
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
 
-  Status Put(const std::string& key, std::string_view value);
+  /// `prior` (optional) receives the value the write displaced.
+  Status Put(const std::string& key, std::string_view value,
+             KvPrior* prior = nullptr);
 
   Result<std::string> Get(const std::string& key) const;
 
   bool Contains(const std::string& key) const;
 
-  /// Removes a key. OK even if absent (idempotent).
-  Status Delete(const std::string& key);
+  /// Removes a key. OK even if absent (idempotent). `prior` as in Put.
+  Status Delete(const std::string& key, KvPrior* prior = nullptr);
 
   /// All keys with the given prefix, sorted.
   std::vector<std::string> ScanPrefix(const std::string& prefix) const;
+
+  /// Calls fn(key, value) for every key with the given prefix, in key
+  /// order, without copying values.
+  void ForEachPrefix(
+      const std::string& prefix,
+      const std::function<void(const std::string& key,
+                               const std::string& value)>& fn) const;
 
   size_t Count() const { return index_.size(); }
 

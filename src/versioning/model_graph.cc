@@ -4,6 +4,8 @@
 #include <deque>
 #include <functional>
 
+#include "common/string_util.h"
+
 namespace mlake::versioning {
 
 std::string_view EdgeTypeToString(EdgeType type) {
@@ -40,6 +42,20 @@ Result<EdgeType> EdgeTypeFromString(std::string_view s) {
   return Status::InvalidArgument("unknown edge type: " + std::string(s));
 }
 
+namespace {
+
+/// SHA-256 of the edge's canonical text (see ModelGraph::edge_digest).
+SetDigest::Hash EdgeHash(const VersionEdge& edge) {
+  Sha256 hasher;
+  hasher.Update(StrFormat(
+      "edge|%s|%s|%s|%.17g|%s", edge.parent.c_str(), edge.child.c_str(),
+      std::string(EdgeTypeToString(edge.type)).c_str(), edge.confidence,
+      edge.params.is_null() ? "" : edge.params.Dump().c_str()));
+  return hasher.Finish();
+}
+
+}  // namespace
+
 void ModelGraph::AddModel(const std::string& id) {
   if (nodes_.insert(id).second) ++revision_;
 }
@@ -51,6 +67,8 @@ bool ModelGraph::RemoveModel(const std::string& id) {
   for (VersionEdge& edge : edges_) {
     if (edge.parent != id && edge.child != id) {
       kept.push_back(std::move(edge));
+    } else {
+      edge_digest_.Remove(EdgeHash(edge));
     }
   }
   edges_ = std::move(kept);
@@ -114,6 +132,7 @@ Status ModelGraph::AddEdge(VersionEdge edge) {
   size_t idx = edges_.size();
   out_edges_[edge.parent].push_back(idx);
   in_edges_[edge.child].push_back(idx);
+  edge_digest_.Add(EdgeHash(edge));
   edges_.push_back(std::move(edge));
   ++revision_;
   return Status::OK();

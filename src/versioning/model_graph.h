@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/result.h"
 
@@ -63,6 +64,12 @@ class ModelGraph {
   size_t NumEdges() const { return edges_.size(); }
   uint64_t revision() const { return revision_; }
 
+  /// SetDigest over the SHA-256 of every edge's canonical text
+  /// "edge|parent|child|type|%.17g confidence|params JSON", kept exact
+  /// by AddEdge and RemoveModel: O(1) to read, O(edge) per mutation.
+  /// The revision and the node set are not part of it.
+  const SetDigest& edge_digest() const { return edge_digest_; }
+
   std::vector<std::string> Models() const;
   const std::vector<VersionEdge>& Edges() const { return edges_; }
 
@@ -94,6 +101,7 @@ class ModelGraph {
   std::map<std::string, std::vector<size_t>> out_edges_;  // parent -> edge idx
   std::map<std::string, std::vector<size_t>> in_edges_;   // child -> edge idx
   uint64_t revision_ = 0;
+  SetDigest edge_digest_;
 };
 
 /// Edge-recovery quality of a recovered graph vs ground truth.

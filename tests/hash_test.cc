@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace mlake {
 namespace {
@@ -109,6 +110,67 @@ TEST(ToHexTest, Encodes) {
   uint8_t bytes[] = {0x00, 0x0f, 0xa5, 0xff};
   EXPECT_EQ(ToHex(bytes, 4), "000fa5ff");
   EXPECT_EQ(ToHex(bytes, 0), "");
+}
+
+TEST(SetDigestTest, AddThenRemoveIsEmpty) {
+  SetDigest digest;
+  SetDigest::Hash a = RecordHash("model", "m1", "{}");
+  SetDigest::Hash b = RecordHash("card", "m1", "{\"x\":1}");
+  digest.Add(a);
+  digest.Add(b);
+  EXPECT_NE(digest, SetDigest());
+  digest.Remove(a);
+  digest.Remove(b);
+  EXPECT_EQ(digest, SetDigest());
+  EXPECT_EQ(digest.bytes(), SetDigest::Hash{});
+}
+
+TEST(SetDigestTest, OrderIndependent) {
+  std::vector<SetDigest::Hash> records;
+  for (int i = 0; i < 20; ++i) {
+    records.push_back(RecordHash("k", std::to_string(i), "v"));
+  }
+  SetDigest forward, backward;
+  for (const auto& r : records) forward.Add(r);
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    backward.Add(*it);
+  }
+  EXPECT_EQ(forward, backward);
+  backward.Remove(records[7]);
+  EXPECT_NE(forward, backward);
+}
+
+TEST(SetDigestTest, CarriesAndBorrowsAcrossLimbs) {
+  SetDigest::Hash all_ones;
+  all_ones.fill(0xff);
+  SetDigest::Hash one{};
+  one[0] = 1;
+  // (2^256 - 1) + 1 wraps to zero, carrying through every limb.
+  SetDigest digest;
+  digest.Add(all_ones);
+  digest.Add(one);
+  EXPECT_EQ(digest, SetDigest());
+  // 0 - 1 borrows through every limb back to 2^256 - 1.
+  digest.Remove(one);
+  EXPECT_EQ(digest.bytes(), all_ones);
+  // 2^64 (carry into limb 1) minus 1 leaves limb 0 all ones.
+  SetDigest::Hash low_ones{};
+  for (int i = 0; i < 8; ++i) low_ones[i] = 0xff;
+  SetDigest limb;
+  limb.Add(low_ones);
+  limb.Add(one);
+  SetDigest::Hash expected{};
+  expected[8] = 1;
+  EXPECT_EQ(limb.bytes(), expected);
+  limb.Remove(one);
+  EXPECT_EQ(limb.bytes(), low_ones);
+}
+
+TEST(RecordHashTest, FieldsAreLengthPrefixed) {
+  // Moving a byte across a field boundary must change the hash.
+  EXPECT_NE(RecordHash("ab", "c", ""), RecordHash("a", "bc", ""));
+  EXPECT_NE(RecordHash("a", "", "b"), RecordHash("a", "b", ""));
+  EXPECT_EQ(RecordHash("a", "b", "c"), RecordHash("a", "b", "c"));
 }
 
 }  // namespace

@@ -151,7 +151,7 @@ TEST_F(KvStoreTest, TruncatedLengthPrefixRecovered) {
   std::string partial;
   partial.append("\x01\x02\x03\x04", 4);  // bogus crc
   partial.push_back('\x01');              // type put
-  partial.append("\x02\x00\x00\x00ab", 6);
+  partial.append("\x02\x00\x00\x00" "ab", 6);  // key length 2, "ab"
   partial.append("\xff\xff\x00\x00", 4);  // value length 65535, missing
   ASSERT_TRUE(AppendFile(path_, partial).ok());
   auto store = KvStore::Open(path_).MoveValueUnsafe();

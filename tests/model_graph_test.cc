@@ -5,6 +5,9 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/random.h"
+#include "common/string_util.h"
+#include "digest_reference.h"
 
 namespace mlake::versioning {
 namespace {
@@ -165,6 +168,55 @@ TEST(ModelGraphTest, FromJsonRejectsCorruptDocs) {
           "type": "finetune"}]})");
   ASSERT_TRUE(bad_edge.ok());
   EXPECT_FALSE(ModelGraph::FromJson(bad_edge.ValueUnsafe()).ok());
+}
+
+/// The edge digest rebuilt from the graph's current edge list.
+digest_reference::Bytes32 ReferenceEdgeDigest(const ModelGraph& g) {
+  std::vector<digest_reference::Bytes32> records;
+  for (const VersionEdge& e : g.Edges()) {
+    std::string canonical = StrFormat(
+        "edge|%s|%s|%s|%.17g|%s", e.parent.c_str(), e.child.c_str(),
+        std::string(EdgeTypeToString(e.type)).c_str(), e.confidence,
+        e.params.is_null() ? "" : e.params.Dump().c_str());
+    records.push_back(digest_reference::Sha(canonical));
+  }
+  return digest_reference::Sum(records);
+}
+
+TEST(ModelGraphTest, EdgeDigestTracksAddRemoveAndJson) {
+  Rng rng(11);
+  ModelGraph g;
+  EXPECT_EQ(g.edge_digest(), SetDigest());
+  int removals = 0;
+  for (int op = 0; op < 600; ++op) {
+    std::string a = StrFormat("m%02d", static_cast<int>(rng.NextBelow(30)));
+    std::string b = StrFormat("m%02d", static_cast<int>(rng.NextBelow(30)));
+    if (rng.NextDouble() < 0.85) {
+      // Only low -> high ids, so no edge can close a cycle.
+      VersionEdge e = Edge(std::min(a, b), std::max(a, b),
+                           static_cast<EdgeType>(rng.NextBelow(8)));
+      e.confidence = rng.NextDouble();
+      if (rng.NextDouble() < 0.5) {
+        e.params = Json::MakeObject();
+        e.params.Set("rank", static_cast<int64_t>(rng.NextBelow(16)));
+      }
+      (void)g.AddEdge(e);  // self-loops and duplicates are refused
+    } else if (g.RemoveModel(a)) {
+      ++removals;
+    }
+    ASSERT_EQ(g.edge_digest().bytes(), ReferenceEdgeDigest(g)) << "op " << op;
+  }
+  EXPECT_GT(removals, 0);
+  EXPECT_GT(g.NumEdges(), 0u);
+  // Deserialization rebuilds the same digest through AddEdge.
+  ModelGraph back = ModelGraph::FromJson(g.ToJson()).ValueOrDie();
+  EXPECT_EQ(back.edge_digest(), g.edge_digest());
+  // Node-only changes and the revision are not part of it.
+  SetDigest before = g.edge_digest();
+  g.AddModel("lonely");
+  EXPECT_EQ(g.edge_digest(), before);
+  EXPECT_TRUE(g.RemoveModel("lonely"));
+  EXPECT_EQ(g.edge_digest(), before);
 }
 
 TEST(CompareGraphsTest, Metrics) {

@@ -17,7 +17,10 @@
 #include "cluster/shard_map.h"
 #include "common/file_util.h"
 #include "common/json.h"
+#include "common/random.h"
+#include "common/string_util.h"
 #include "core/model_lake.h"
+#include "digest_reference.h"
 #include "nn/trainer.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -613,6 +616,202 @@ TEST_F(ReplicationTest, RouterFailsReadsOverToReplicaOnLeaderLoss) {
   EXPECT_EQ(map->writers[0][0], 1) << "promoted replica takes writes";
 
   ASSERT_TRUE(router.Stop().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Maintained fingerprint vs a rebuilt reference
+// ---------------------------------------------------------------------------
+
+/// The fingerprint rebuilt from the lake's current catalog and lineage
+/// with the test-local algebra (see digest_reference.h).
+std::string ReferenceFingerprint(const core::ModelLake& lake) {
+  namespace ref = digest_reference;
+  std::string concatenated;
+  for (const char* kind : {"model", "card", "embedding", "dataset"}) {
+    std::vector<ref::Bytes32> records;
+    for (const std::string& id : lake.catalog()->ListIds(kind)) {
+      std::string bytes =
+          lake.catalog()->GetDoc(kind, id).ValueOrDie().Dump();
+      records.push_back(ref::Record(kind, id, bytes));
+    }
+    ref::Bytes32 sum = ref::Sum(records);
+    concatenated.append(sum.begin(), sum.end());
+  }
+  std::vector<ref::Bytes32> edges;
+  for (const versioning::VersionEdge& e : lake.graph().Edges()) {
+    edges.push_back(ref::Sha(StrFormat(
+        "edge|%s|%s|%s|%.17g|%s", e.parent.c_str(), e.child.c_str(),
+        std::string(versioning::EdgeTypeToString(e.type)).c_str(),
+        e.confidence, e.params.is_null() ? "" : e.params.Dump().c_str())));
+  }
+  ref::Bytes32 edge_sum = ref::Sum(edges);
+  concatenated.append(edge_sum.begin(), edge_sum.end());
+  ref::Bytes32 out = ref::Sha(concatenated);
+  return ToHex(out.data(), out.size());
+}
+
+class FingerprintTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = MakeTempDir("mlake-fingerprint").ValueOrDie();
+  }
+  void TearDown() override { ASSERT_TRUE(RemoveAll(root_).ok()); }
+
+  std::unique_ptr<core::ModelLake> Open(const std::string& name) {
+    auto lake = core::ModelLake::Open(LakeOpts(JoinPath(root_, name)));
+    EXPECT_TRUE(lake.ok()) << lake.status().ToString();
+    return lake.ok() ? lake.MoveValueUnsafe() : nullptr;
+  }
+
+  /// One seeded random write: artifact or metadata-only ingest, card
+  /// overwrite, lineage edge, dataset registration, or a write to a
+  /// local-only kind (which must not move the fingerprint).
+  void RandomWrite(core::ModelLake* lake, Rng* rng, int step) {
+    std::vector<std::string> ids = lake->ListModels();
+    const uint64_t dice = rng->NextBelow(8);
+    if (dice == 0 || ids.size() < 3) {
+      auto model = MakeModel(1000 + static_cast<uint64_t>(step));
+      ASSERT_TRUE(
+          lake->IngestModel(*model, Card(StrFormat("a-%03d", step), "sum"))
+              .ok());
+    } else if (dice == 1) {
+      core::CardIngest ingest;
+      ingest.card = Card(StrFormat("c-%03d", step), "mean");
+      for (int64_t i = 0; i < lake->EmbeddingDim(); ++i) {
+        ingest.embedding.push_back(static_cast<float>(rng->Uniform(-1, 1)));
+      }
+      ASSERT_TRUE(lake->IngestCards({ingest}).ok());
+    } else if (dice == 2) {
+      const std::string& id = ids[rng->NextBelow(ids.size())];
+      metadata::ModelCard card = Card(id, step % 2 ? "sum" : "mean");
+      card.creator = StrFormat("editor-%d", step);
+      ASSERT_TRUE(lake->UpdateCard(card).ok());
+    } else if (dice == 3) {
+      // Older -> newer artifact models only, so no edge closes a cycle.
+      std::vector<std::string> artifacts;
+      for (const std::string& id : ids) {
+        if (StartsWith(id, "a-")) artifacts.push_back(id);
+      }
+      if (artifacts.size() < 2) return;
+      size_t i = rng->NextBelow(artifacts.size());
+      size_t j = rng->NextBelow(artifacts.size());
+      if (i == j) return;
+      versioning::VersionEdge edge;
+      edge.parent = artifacts[std::min(i, j)];
+      edge.child = artifacts[std::max(i, j)];
+      edge.type = static_cast<versioning::EdgeType>(rng->NextBelow(8));
+      edge.confidence = rng->NextDouble();
+      edge.params = Json::MakeObject();
+      edge.params.Set("step", step);
+      (void)lake->RecordEdge(edge);  // duplicates are refused
+    } else if (dice == 4) {
+      ASSERT_TRUE(lake->RegisterDataset(StrFormat("corpus/%d", step),
+                                        {StrFormat("shard-%d", step)})
+                      .ok());
+    } else {
+      // Local-only kinds: quarantine markers and the persisted graph.
+      const std::string before = lake->ReplicationFingerprint();
+      const std::string& id = ids[rng->NextBelow(ids.size())];
+      Json marker = Json::MakeObject();
+      marker.Set("reason", StrFormat("step %d", step));
+      ASSERT_TRUE(lake->catalog()->PutDoc("degraded", id, marker).ok());
+      EXPECT_EQ(lake->ReplicationFingerprint(), before);
+      ASSERT_TRUE(lake->catalog()->DeleteDoc("degraded", id).ok());
+      EXPECT_EQ(lake->ReplicationFingerprint(), before);
+      Json graph_doc = lake->graph().ToJson();
+      graph_doc.Set("revision",
+                    static_cast<int64_t>(lake->graph().revision() + 7));
+      ASSERT_TRUE(lake->catalog()->PutDoc("graph", "main", graph_doc).ok());
+      EXPECT_EQ(lake->ReplicationFingerprint(), before);
+    }
+  }
+
+  std::string root_;
+};
+
+// A seeded random write sequence, with an ingest rolled back on reopen
+// (ModelGraph::RemoveModel drops its edges), the catalog's own
+// auto-compaction, a torn catalog tail and a re-seed from another lake:
+// the maintained fingerprint equals the rebuilt reference after
+// every step.
+TEST_F(FingerprintTest, MaintainedFingerprintMatchesReference) {
+  Rng rng(5);
+  auto lake = Open("a");
+  ASSERT_NE(lake, nullptr);
+  for (int step = 0; step < 48; ++step) {
+    RandomWrite(lake.get(), &rng, step);
+    ASSERT_EQ(lake->ReplicationFingerprint(), ReferenceFingerprint(*lake))
+        << "step " << step;
+  }
+  ASSERT_GT(lake->graph().NumEdges(), 0u);
+
+  // Card overwrites until the catalog log auto-compacts (it shrinks).
+  const std::string catalog_log =
+      JoinPath(JoinPath(root_, "a"), "catalog.log");
+  bool compacted = false;
+  std::vector<std::string> ids = lake->ListModels();
+  for (int i = 0; i < 4000 && !compacted; ++i) {
+    uint64_t before = FileSize(catalog_log).ValueOrDie();
+    metadata::ModelCard card = Card(ids[i % ids.size()], "sum");
+    card.creator = std::string(static_cast<size_t>(200 + i % 50), 'z');
+    ASSERT_TRUE(lake->UpdateCard(card).ok());
+    compacted = FileSize(catalog_log).ValueOrDie() < before;
+  }
+  EXPECT_TRUE(compacted) << "catalog auto-compaction never fired";
+  EXPECT_EQ(lake->ReplicationFingerprint(), ReferenceFingerprint(*lake));
+
+  // Ingest rollback: a pending intent for an artifact model that has
+  // lineage edges is rolled back by the next Open.
+  std::string victim;
+  for (const versioning::VersionEdge& e : lake->graph().Edges()) {
+    victim = e.child;
+  }
+  storage::Intent pending;
+  pending.op = "ingest";
+  pending.ids = {victim};
+  pending.digests = {lake->ArtifactDigest(victim).ValueOrDie()};
+  lake.reset();
+  {
+    auto journal = storage::IntentJournal::Open(
+                       JoinPath(JoinPath(root_, "a"), "journal"), nullptr, true)
+                       .MoveValueUnsafe();
+    ASSERT_TRUE(journal.Begin(pending).ok());
+  }
+  lake = Open("a");
+  ASSERT_NE(lake, nullptr);
+  EXPECT_EQ(lake->recovery().rolled_back_intents, 1u);
+  EXPECT_FALSE(lake->graph().HasModel(victim));
+  EXPECT_EQ(lake->ReplicationFingerprint(), ReferenceFingerprint(*lake));
+
+  // Torn catalog tail: replay drops it; the digests are rebuilt exactly.
+  const std::string settled = lake->ReplicationFingerprint();
+  lake.reset();
+  ASSERT_TRUE(AppendFile(catalog_log, std::string("\x5a\x00\x00\x00\x01"
+                                                  "card/torn", 14))
+                  .ok());
+  lake = Open("a");
+  ASSERT_NE(lake, nullptr);
+  EXPECT_EQ(lake->ReplicationFingerprint(), settled);
+  EXPECT_EQ(lake->ReplicationFingerprint(), ReferenceFingerprint(*lake));
+
+  // Re-seed a diverged lake from this one's manifest.
+  auto other = Open("b");
+  ASSERT_NE(other, nullptr);
+  Rng other_rng(6);
+  for (int step = 0; step < 12; ++step) {
+    RandomWrite(other.get(), &other_rng, 500 + step);
+  }
+  ASSERT_NE(other->ReplicationFingerprint(), lake->ReplicationFingerprint());
+  core::ModelLake* source = lake.get();
+  ASSERT_TRUE(other
+                  ->ReseedFromManifest(
+                      source->ReplicationSeedJson().ValueOrDie(),
+                      [source](const std::string& digest) {
+                        return source->ReadBlob(digest);
+                      })
+                  .ok());
+  EXPECT_EQ(other->ReplicationFingerprint(), ReferenceFingerprint(*other));
+  EXPECT_EQ(other->ReplicationFingerprint(), lake->ReplicationFingerprint());
 }
 
 }  // namespace

@@ -95,6 +95,35 @@ TEST(HttpParseTest, MalformedAndOversized) {
                   .IsResourceExhausted());
 }
 
+TEST(HttpParseTest, ContentLengthMustBeDigitsOnly) {
+  for (const char* bad : {"-1", "+5", "12abc", "0x10", "18446744073709551616",
+                          "5 5"}) {
+    HttpRequest req;
+    std::string wire = std::string("POST /x HTTP/1.1\r\nContent-Length: ") +
+                       bad + "\r\n\r\nabcde";
+    EXPECT_TRUE(ParseHttpRequest(wire, 1024, &req).status().IsInvalidArgument())
+        << bad;
+  }
+  // Surrounding whitespace is header syntax, not part of the value.
+  HttpRequest req;
+  auto ok = ParseHttpRequest("POST /x HTTP/1.1\r\nContent-Length:  3 \r\n\r\nabc",
+                             1024, &req);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(req.body, "abc");
+}
+
+TEST(DeadlineHeaderTest, PositiveIntegersOnly) {
+  EXPECT_EQ(ParseDeadlineMs("250").ValueOrDie(), 250);
+  for (const char* bad : {"", "0", "-5", "+5", "soon", "5ms", " 5"}) {
+    EXPECT_TRUE(ParseDeadlineMs(bad).status().IsInvalidArgument()) << bad;
+  }
+  // Huge values clamp to one year instead of overflowing clock math.
+  const int64_t year_ms = int64_t{365} * 24 * 3600 * 1000;
+  EXPECT_EQ(ParseDeadlineMs("18446744073709551615").ValueOrDie(), year_ms);
+  EXPECT_TRUE(ParseDeadlineMs("18446744073709551616").status()
+                  .IsInvalidArgument());
+}
+
 TEST(HttpParseTest, ResponseRoundTrip) {
   HttpResponse response;
   response.status = 429;

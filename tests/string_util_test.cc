@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace mlake {
 namespace {
 
@@ -73,6 +76,50 @@ TEST(HumanBytesTest, Units) {
   EXPECT_EQ(HumanBytes(2048), "2.0 KiB");
   EXPECT_EQ(HumanBytes(1536 * 1024), "1.5 MiB");
   EXPECT_EQ(HumanBytes(0), "0 B");
+}
+
+TEST(ParseUintTest, AcceptsDigitsOnly) {
+  EXPECT_EQ(ParseUint("0"), 0u);
+  EXPECT_EQ(ParseUint("42"), 42u);
+  EXPECT_EQ(ParseUint("007"), 7u);
+}
+
+TEST(ParseUintTest, RejectsEmptyInput) {
+  EXPECT_FALSE(ParseUint("").has_value());
+}
+
+TEST(ParseUintTest, RejectsSign) {
+  EXPECT_FALSE(ParseUint("-1").has_value());
+  EXPECT_FALSE(ParseUint("+1").has_value());
+  EXPECT_FALSE(ParseUint("-").has_value());
+}
+
+TEST(ParseUintTest, RejectsWhitespace) {
+  EXPECT_FALSE(ParseUint(" 1").has_value());
+  EXPECT_FALSE(ParseUint("1 ").has_value());
+  EXPECT_FALSE(ParseUint("1\t").has_value());
+  EXPECT_FALSE(ParseUint(" ").has_value());
+}
+
+TEST(ParseUintTest, RejectsTrailingGarbage) {
+  EXPECT_FALSE(ParseUint("12abc").has_value());
+  EXPECT_FALSE(ParseUint("0x10").has_value());
+  EXPECT_FALSE(ParseUint("1.0").has_value());
+  EXPECT_FALSE(ParseUint(std::string_view("1\0", 2)).has_value());
+}
+
+TEST(ParseUintTest, MaxValueAndOverflow) {
+  EXPECT_EQ(ParseUint("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(ParseUint("18446744073709551616").has_value());  // 2^64
+  EXPECT_FALSE(ParseUint("18446744073709551620").has_value());
+  EXPECT_FALSE(ParseUint("99999999999999999999").has_value());
+  EXPECT_FALSE(ParseUint("184467440737095516150").has_value());
+}
+
+TEST(ParseUintTest, ReadsOnlyTheGivenView) {
+  // A view into a longer buffer: the bytes past its end are not read.
+  std::string buffer = "123456";
+  EXPECT_EQ(ParseUint(std::string_view(buffer).substr(0, 3)), 123u);
 }
 
 }  // namespace
