@@ -1,7 +1,8 @@
 // micro_storage: the storage layer's tracked perf baseline.
 //
 // Times the substrate (KV log, content-addressed blob store, artifact
-// codec, hashing) and then the lake-level model load path in three
+// codec, hashing, the JSON number codec on one catalog embedding
+// document) and then the lake-level model load path in three
 // configurations:
 //   legacy  copying reads, SHA-256 on every read, caches off
 //           (the pre-zero-copy storage layer, for regression tracking)
@@ -24,11 +25,14 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/exp_util.h"
 #include "common/file_util.h"
 #include "common/hash.h"
+#include "common/json.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "core/model_lake.h"
 #include "metadata/model_card.h"
@@ -197,6 +201,29 @@ std::vector<std::string> PopulateLake(const std::string& root, size_t n) {
   return ids;
 }
 
+/// One catalog embedding document as the lake stores it: 192 floats
+/// widened to double, so nearly every number prints 17 significant
+/// digits. It is dumped at ingest and on every routed ann leg, and
+/// parsed at compaction, replica apply and by each shard per ann leg.
+void BenchJsonCodec(JsonBench* bench, bool quick) {
+  int reps = quick ? 3 : 9;
+  int inner = quick ? 500 : 2000;
+  Rng rng(3);
+  Json doc = Json::MakeArray();
+  for (int i = 0; i < 192; ++i) {
+    doc.Append(Json(static_cast<double>(static_cast<float>(rng.Normal()))));
+  }
+  const std::string text = doc.Dump();
+  const double bytes = static_cast<double>(text.size());
+  bench->TimeNs(
+      "json_embedding_dump", reps, 1, inner,
+      [&] { g_sink = doc.Dump().size(); }, bytes);
+  bench->TimeNs(
+      "json_embedding_parse", reps, 1, inner,
+      [&] { g_sink = Unwrap(Json::Parse(text), "Json::Parse").size(); },
+      bytes);
+}
+
 /// Times LoadArtifact and LoadModel against one lake configuration.
 void BenchLakeConfig(JsonBench* bench, const std::string& root,
                      const std::vector<std::string>& ids, const char* tag,
@@ -286,11 +313,15 @@ int Main(int argc, char** argv) {
   JsonBench bench("storage");
   bench.Meta("quick", quick);
   bench.Meta("fsync", "disabled except blob_put_fsync entries");
+  bench.Meta("cores",
+             static_cast<int64_t>(std::thread::hardware_concurrency()));
+  bench.Meta("build_type", MLAKE_BUILD_TYPE);
 
   TempDir dir("mlake-micro-storage");
   BenchKv(&bench, dir.path(), quick);
   BenchBlobs(&bench, dir.path(), quick);
   BenchArtifactCodec(&bench, quick);
+  BenchJsonCodec(&bench, quick);
   BenchLakeLoads(&bench, dir.path(), quick);
 
   Check(bench.WriteFile(out), "WriteFile");

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -28,6 +27,8 @@ using server::ErrorResponse;
 using server::HttpRequest;
 using server::HttpResponse;
 using server::JsonResponse;
+using server::SetNoDelay;
+using server::WriteAll;
 
 using Clock = std::chrono::steady_clock;
 
@@ -50,24 +51,6 @@ int64_t RemainingMs(Clock::time_point deadline) {
                                                                   Clock::now())
                 .count();
   return ms < 0 ? 0 : ms;
-}
-
-bool WriteAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 /// Reconstructs a Status from a backend error response so the router
@@ -127,9 +110,10 @@ Json FloatVecToJson(const std::vector<float>& vec) {
   return arr;
 }
 
-/// One merged search hit. Scores travel the wire as %.17g doubles
-/// (exact double round trip), so sorting parsed legs with the
-/// executor's comparator reproduces the single-lake order bit for bit.
+/// One merged search hit. Scores travel the wire as 17-significant-digit
+/// doubles (std::to_chars out, std::from_chars back: an exact double
+/// round trip), so sorting parsed legs with the executor's comparator
+/// reproduces the single-lake order bit for bit.
 struct MergedHit {
   double score = 0.0;
   std::string id;

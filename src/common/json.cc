@@ -1,8 +1,10 @@
 #include "common/json.h"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -147,22 +149,65 @@ void EscapeStringTo(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+/// Byte-identical to printf's "%lld" for exact integers below 2^53 and
+/// "%.17g" otherwise: the standard specifies to_chars' general format
+/// "as if by printf in the C locale", minus the locale.
 void NumberTo(std::string* out, double d) {
   if (std::isnan(d) || std::isinf(d)) {
     // JSON has no NaN/Inf; serialize as null like most tolerant emitters.
     out->append("null");
     return;
   }
+  char buf[32];
+  std::to_chars_result r;
   double rounded = std::nearbyint(d);
   if (rounded == d && std::fabs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out->append(buf);
-    return;
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                      17);
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out->append(buf);
+  out->append(buf, r.ptr);
+}
+
+/// strtod's value for a well-formed decimal that from_chars reports out
+/// of range (it does so only when the correctly rounded result is 0 or
+/// infinite): +-inf when the leading nonzero digit's decimal exponent is
+/// positive (overflow needs >= 308), +-0 otherwise (underflow needs
+/// <= -324). The exponent saturates, so no digit count overflows it.
+double OutOfRangeValue(std::string_view token) {
+  const bool negative = token.front() == '-';
+  size_t i = negative ? 1 : 0;
+  int64_t lead = 0;  // decimal exponent of the leading nonzero digit
+  bool seen_nonzero = false;
+  for (; i < token.size() && token[i] >= '0' && token[i] <= '9'; ++i) {
+    if (seen_nonzero) {
+      lead = std::min<int64_t>(lead + 1, 1'000'000'000);
+    } else if (token[i] != '0') {
+      seen_nonzero = true;
+    }
+  }
+  if (i < token.size() && token[i] == '.') {
+    for (++i; i < token.size() && token[i] >= '0' && token[i] <= '9'; ++i) {
+      if (!seen_nonzero) {
+        lead = std::max<int64_t>(lead - 1, -1'000'000'000);
+        if (token[i] != '0') seen_nonzero = true;
+      }
+    }
+  }
+  int64_t exponent = 0;
+  if (i < token.size() && (token[i] == 'e' || token[i] == 'E')) {
+    ++i;
+    const bool negative_exponent = i < token.size() && token[i] == '-';
+    if (i < token.size() && (token[i] == '-' || token[i] == '+')) ++i;
+    for (; i < token.size(); ++i) {
+      exponent = std::min<int64_t>(exponent * 10 + (token[i] - '0'),
+                                   1'000'000'000);
+    }
+    if (negative_exponent) exponent = -exponent;
+  }
+  double magnitude = lead + exponent > 0 ? HUGE_VAL : 0.0;
+  return negative ? -magnitude : magnitude;
 }
 
 void Indent(std::string* out, int indent, int depth) {
@@ -308,6 +353,8 @@ class Parser {
     return Status::OK();
   }
 
+  /// Accepts exactly the tokens strtod accepts in full, with the same
+  /// values, but without a per-number allocation or the locale.
   Status ParseNumber(Json* out) {
     size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
@@ -318,10 +365,20 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Error("invalid value");
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return Error("invalid number");
+    std::string_view token = text_.substr(start, pos_ - start);
+    // strtod takes one leading '+'; from_chars takes none.
+    if (token.size() > 1 && token[0] == '+' && token[1] != '-') {
+      token.remove_prefix(1);
+    }
+    double d = 0.0;
+    auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), d);
+    if (end != token.data() + token.size()) return Error("invalid number");
+    if (ec == std::errc::result_out_of_range) {
+      d = OutOfRangeValue(token);
+    } else if (ec != std::errc()) {
+      return Error("invalid number");
+    }
     *out = Json(d);
     return Status::OK();
   }

@@ -1197,7 +1197,7 @@ std::vector<std::string> ModelLake::ListModels() const {
 
 size_t ModelLake::NumModels() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return ListModelsUnlocked().size();
+  return catalog_->KindCount("model");
 }
 
 Result<std::vector<std::string>> ModelLake::FsckArtifacts() const {

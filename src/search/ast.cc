@@ -1,5 +1,8 @@
 #include "search/ast.h"
 
+#include <charconv>
+#include <cmath>
+
 #include "common/string_util.h"
 
 namespace mlake::search {
@@ -8,7 +11,15 @@ namespace {
 
 std::string LiteralToString(const Literal& lit) {
   if (lit.kind == Literal::Kind::kNumber) {
-    return StrFormat("%g", lit.number_value);
+    // Shortest text that reads back to the same bits, so the canonical
+    // rendering never merges two queries. The lexer reads an infinity
+    // (from an out-of-range literal) back from 1e999.
+    const double d = lit.number_value;
+    if (std::isinf(d)) return d > 0 ? "1e999" : "-1e999";
+    char buf[32];
+    auto r = std::to_chars(buf, buf + sizeof(buf), d,
+                           std::chars_format::general);
+    return std::string(buf, r.ptr);
   }
   std::string out = "'";
   for (char c : lit.string_value) {

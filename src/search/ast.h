@@ -25,6 +25,9 @@ namespace mlake::search {
 ///   comparison := IDENT op literal
 ///   op         := = | != | < | <= | > | >= | CONTAINS
 ///   call       := IDENT '(' [literal (',' literal)*] ')'
+///   literal    := 'string' ('' escapes a quote) | number
+///   number     := ['-'] digit [digit | '.' | e | E]*, where a '+' or
+///                 '-' may follow the e/E of an exponent (1e-07)
 
 /// A literal value in a query.
 struct Literal {

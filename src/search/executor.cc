@@ -65,17 +65,6 @@ class PredicateEvaluator {
   }
 
  private:
-  static std::string CallKey(const Expr& expr) {
-    std::string key = expr.function;
-    for (const Literal& arg : expr.args) {
-      key += "|";
-      key += arg.kind == Literal::Kind::kString
-                 ? arg.string_value
-                 : StrFormat("%g", arg.number_value);
-    }
-    return key;
-  }
-
   Status PrepareCall(const Expr& expr) {
     const std::string& fn = expr.function;
     if (fn == "trained_on") {
@@ -91,7 +80,7 @@ class PredicateEvaluator {
       }
       auto hits = lake_.TrainedOn(expr.args[0].string_value, min_overlap);
       MLAKE_RETURN_NOT_OK(hits.status());
-      std::set<std::string>& ids = call_sets_[CallKey(expr)];
+      std::set<std::string>& ids = call_sets_[ToString(expr)];
       for (const auto& [id, overlap] : hits.ValueUnsafe()) ids.insert(id);
       return Status::OK();
     }
@@ -102,7 +91,7 @@ class PredicateEvaluator {
       }
       auto hits = lake_.KeywordScores(expr.args[0].string_value, kAllResults);
       MLAKE_RETURN_NOT_OK(hits.status());
-      std::set<std::string>& ids = call_sets_[CallKey(expr)];
+      std::set<std::string>& ids = call_sets_[ToString(expr)];
       for (const auto& [id, score] : hits.ValueUnsafe()) {
         if (score > 0.0) ids.insert(id);
       }
@@ -122,7 +111,7 @@ class PredicateEvaluator {
                             const metadata::ModelCard& card) const {
     const std::string& fn = expr.function;
     if (fn == "trained_on" || fn == "keyword") {
-      auto it = call_sets_.find(CallKey(expr));
+      auto it = call_sets_.find(ToString(expr));
       if (it == call_sets_.end()) {
         return Status::Internal("call not prepared: " + fn);
       }
@@ -208,6 +197,9 @@ class PredicateEvaluator {
   }
 
   const SearchContext& lake_;
+  /// Hit sets keyed by the call's canonical rendering, which prints
+  /// number arguments losslessly and quotes strings: two calls share a
+  /// set only when their arguments are equal.
   std::unordered_map<std::string, std::set<std::string>> call_sets_;
 };
 

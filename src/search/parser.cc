@@ -59,7 +59,10 @@ Result<std::vector<Token>> Lex(std::string_view text) {
       if (c == '-') ++i;
       while (i < text.size() &&
              (std::isdigit(static_cast<unsigned char>(text[i])) ||
-              text[i] == '.' || text[i] == 'e' || text[i] == 'E')) {
+              text[i] == '.' || text[i] == 'e' || text[i] == 'E' ||
+              // An exponent sign, as in the canonical rendering's 1e-07.
+              ((text[i] == '+' || text[i] == '-') &&
+               (text[i - 1] == 'e' || text[i - 1] == 'E')))) {
         ++i;
       }
       std::string num(text.substr(start, i - start));

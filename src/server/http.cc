@@ -1,8 +1,13 @@
 #include "server/http.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -466,6 +471,24 @@ Result<std::string> Base64Decode(std::string_view text) {
     if (pad < 1) out.push_back(static_cast<char>(v & 0xff));
   }
   return out;
+}
+
+bool WriteAll(int fd, std::string_view data) {
+  size_t off = 0;
+  while (off < data.size()) {
+    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace mlake::server

@@ -142,6 +142,15 @@ std::string UrlDecode(std::string_view s);
 std::string Base64Encode(std::string_view bytes);
 Result<std::string> Base64Decode(std::string_view text);
 
+/// Writes the whole buffer to socket `fd`, retrying on EINTR and
+/// partial writes. MSG_NOSIGNAL: a peer that closed mid-write yields
+/// EPIPE (false), not a process-killing SIGPIPE.
+bool WriteAll(int fd, std::string_view data);
+
+/// Disables Nagle's algorithm on TCP socket `fd`: every request and
+/// response is one write that must not wait for the previous ACK.
+void SetNoDelay(int fd);
+
 }  // namespace mlake::server
 
 #endif  // MLAKE_SERVER_HTTP_H_

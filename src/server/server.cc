@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -36,27 +35,6 @@ uint64_t ElapsedUs(Clock::time_point since) {
                 Clock::now() - since)
                 .count();
   return us < 0 ? 0 : static_cast<uint64_t>(us);
-}
-
-/// Writes the whole buffer, retrying on EINTR/partial writes.
-/// MSG_NOSIGNAL: a peer that closed mid-response yields EPIPE, not a
-/// process-killing SIGPIPE.
-bool WriteAll(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 /// True once the connection cannot produce a response anymore: the peer
@@ -98,8 +76,10 @@ Status BodyError(const Status& status, const char* what) {
 }
 
 /// Parses a JSON float array ([0.25, -1.5, ...]) into a vector<float>.
-/// Exact round trip: Json::Dump prints doubles with %.17g, and every
-/// float widens to a double and narrows back without loss.
+/// Exact round trip: Json::Dump prints doubles with 17 significant
+/// digits (std::to_chars, the bytes of "%.17g"), Json::Parse reads them
+/// back bit-equal (std::from_chars), and every float widens to a double
+/// and narrows back without loss.
 Result<std::vector<float>> FloatVecFromJson(const Json& arr,
                                             const char* what) {
   if (!arr.is_array()) {

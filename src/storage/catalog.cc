@@ -23,15 +23,15 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(
                          KvStore::Open(path, {}, fs));
   std::unique_ptr<Catalog> catalog(new Catalog(std::move(kv)));
   // Built over the replayed index, so torn-tail truncation, compaction
-  // and reopen all start from exact digests.
+  // and reopen all start from exact digests and counts.
   for (const std::string& kind : digest_kinds) {
     const std::string prefix = kind + "/";
-    SetDigest& digest = catalog->digests_[kind];
+    KindSummary& summary = catalog->summaries_[kind];
     catalog->kv_->ForEachPrefix(
         prefix, [&](const std::string& key, const std::string& value) {
-          digest.Add(RecordHash(kind,
-                                std::string_view(key).substr(prefix.size()),
-                                value));
+          summary.digest.Add(RecordHash(
+              kind, std::string_view(key).substr(prefix.size()), value));
+          ++summary.count;
         });
   }
   return catalog;
@@ -40,12 +40,17 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(
 void Catalog::UpdateDigest(const std::string& kind, const std::string& id,
                            const KvPrior& prior, const std::string* current) {
   if (!prior.applied) return;
-  auto it = digests_.find(kind);
-  if (it == digests_.end()) return;
+  auto it = summaries_.find(kind);
+  if (it == summaries_.end()) return;
+  KindSummary& summary = it->second;
   if (prior.value.has_value()) {
-    it->second.Remove(RecordHash(kind, id, *prior.value));
+    summary.digest.Remove(RecordHash(kind, id, *prior.value));
+    --summary.count;
   }
-  if (current != nullptr) it->second.Add(RecordHash(kind, id, *current));
+  if (current != nullptr) {
+    summary.digest.Add(RecordHash(kind, id, *current));
+    ++summary.count;
+  }
 }
 
 Status Catalog::PutDoc(const std::string& kind, const std::string& id,
@@ -78,8 +83,17 @@ Status Catalog::DeleteDoc(const std::string& kind, const std::string& id) {
 }
 
 SetDigest Catalog::KindDigest(const std::string& kind) const {
-  auto it = digests_.find(kind);
-  return it == digests_.end() ? SetDigest() : it->second;
+  auto it = summaries_.find(kind);
+  return it == summaries_.end() ? SetDigest() : it->second.digest;
+}
+
+size_t Catalog::KindCount(const std::string& kind) const {
+  auto it = summaries_.find(kind);
+  if (it != summaries_.end()) return it->second.count;
+  size_t count = 0;
+  kv_->ForEachPrefix(kind + "/",
+                     [&](const std::string&, const std::string&) { ++count; });
+  return count;
 }
 
 std::vector<std::string> Catalog::ListIds(const std::string& kind) const {

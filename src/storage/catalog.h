@@ -20,13 +20,13 @@ namespace mlake::storage {
 /// is not raw weights lives here.
 ///
 /// Each kind named in `digest_kinds` at Open keeps a SetDigest over its
-/// documents, one RecordHash(kind, id, stored bytes) per document. Open
-/// builds the digests once over the replayed index; PutDoc and
-/// DeleteDoc then keep them exact in O(document), so KindDigest is
-/// O(1) and always equals the digest rebuilt over the kind. Other
-/// kinds are never hashed, so a large local-only document (the lake's
-/// persisted graph, rewritten on every lineage change) costs no extra
-/// hashing per write.
+/// documents, one RecordHash(kind, id, stored bytes) per document, and
+/// a document count. Open builds both once over the replayed index;
+/// PutDoc and DeleteDoc then keep them exact in O(document), so
+/// KindDigest and KindCount are O(1) and always equal what a rescan of
+/// the kind would give. Other kinds are never hashed, so a large
+/// local-only document (the lake's persisted graph, rewritten on every
+/// lineage change) costs no extra hashing per write.
 class Catalog {
  public:
   /// `fs` is the storage seam (nullptr = real filesystem).
@@ -53,6 +53,10 @@ class Catalog {
   /// `digest_kinds` at Open have none and read as the empty set.
   SetDigest KindDigest(const std::string& kind) const;
 
+  /// The number of documents of `kind`: O(1) for kinds named in
+  /// `digest_kinds` at Open, a prefix scan for the others.
+  size_t KindCount(const std::string& kind) const;
+
   /// Compacts the underlying log.
   Status Compact() { return kv_->Compact(); }
 
@@ -66,13 +70,19 @@ class Catalog {
     return kind + "/" + id;
   }
 
-  /// Moves `kind`'s digest from `prior` to `current` (nullptr = absent)
-  /// when the write reached the index and the kind is digested.
+  /// Moves `kind`'s digest and count from `prior` to `current`
+  /// (nullptr = absent) when the write reached the index and the kind
+  /// is digested.
   void UpdateDigest(const std::string& kind, const std::string& id,
                     const KvPrior& prior, const std::string* current);
 
+  struct KindSummary {
+    SetDigest digest;
+    size_t count = 0;
+  };
+
   std::unique_ptr<KvStore> kv_;
-  std::map<std::string, SetDigest> digests_;  // digested kind -> digest
+  std::map<std::string, KindSummary> summaries_;  // digested kind -> summary
 };
 
 }  // namespace mlake::storage

@@ -138,8 +138,20 @@ digest_reference::Bytes32 ReferenceDigest(const Catalog& catalog,
   return digest_reference::Sum(records);
 }
 
+/// Maintained counts (digested kinds) and scanned counts (the others)
+/// both equal the number of listed ids.
+void ExpectCountsMatchListing(const Catalog& catalog,
+                              const std::string& where) {
+  for (const char* kind :
+       {"model", "card", "embedding", "dataset", "degraded", "graph"}) {
+    ASSERT_EQ(catalog.KindCount(kind), catalog.ListIds(kind).size())
+        << kind << " " << where;
+  }
+}
+
 void ExpectDigestsMatchReference(const Catalog& catalog,
                                  const std::string& where) {
+  ExpectCountsMatchListing(catalog, where);
   for (const std::string& kind : DigestedKinds()) {
     EXPECT_EQ(catalog.KindDigest(kind).bytes(),
               ReferenceDigest(catalog, kind))
@@ -171,7 +183,7 @@ class CatalogDigestTest : public ::testing::TestWithParam<uint64_t> {
 // A seeded random sequence of puts, overwrites and deletes on every
 // kind (digested and local-only), with reopens, a torn tail and the
 // KV store's auto-compaction in between: the maintained digests always
-// equal the rebuilt reference.
+// equal the rebuilt reference, and the counts the listing.
 TEST_P(CatalogDigestTest, MaintainedDigestsMatchReference) {
   Rng rng(GetParam());
   const std::vector<std::string> kinds = {"model",   "card",     "embedding",
@@ -201,6 +213,7 @@ TEST_P(CatalogDigestTest, MaintainedDigestsMatchReference) {
             << "write to local-only kind " << kind << " moved a digest";
       }
     }
+    ExpectCountsMatchListing(*catalog, StrFormat("after op %d", op));
     uint64_t size = FileExists(path_) ? FileSize(path_).ValueOrDie() : 0;
     if (size < last_size) ++compactions_seen;
     last_size = size;
@@ -226,7 +239,7 @@ TEST_P(CatalogDigestTest, MaintainedDigestsMatchReference) {
 
 // Writes that fail (a failed append is not applied) or half-fail (the
 // write lands, then the auto-compaction after it errors) leave the
-// digests exact either way.
+// digests and counts exact either way.
 TEST_P(CatalogDigestTest, FailedWritesKeepDigestsExact) {
   Rng rng(GetParam());
   FaultPlan plan;
@@ -250,6 +263,7 @@ TEST_P(CatalogDigestTest, FailedWritesKeepDigestsExact) {
       st = catalog->DeleteDoc(kind, id);
     }
     if (!st.ok()) ++failures;
+    ExpectCountsMatchListing(*catalog, StrFormat("after op %d", op));
   }
   EXPECT_GT(failures, 0);
   ExpectDigestsMatchReference(*catalog, "after faulted writes");

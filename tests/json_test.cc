@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "json_number_reference.h"
+
 namespace mlake {
 namespace {
 
@@ -117,6 +125,64 @@ TEST(JsonTest, IntegersSerializeWithoutDecimal) {
 TEST(JsonTest, NonFiniteNumbersSerializeAsNull) {
   EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).Dump(), "null");
   EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).Dump(), "null");
+}
+
+// Named edge values: the dumped bytes are the reference printf bytes,
+// and the dumped text parses back to the same bits.
+TEST(JsonNumberCodecTest, DumpMatchesPrintfOnEdgeValues) {
+  const double two53 = 9007199254740992.0;
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3, -2.0 / 3, 0.5, 1e-5, 123456.4,
+      DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, DBL_EPSILON,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3, 4.9e-324,
+      two53 - 1, two53, two53 + 2, -(two53 - 1), -two53, -(two53 + 2),
+      std::nextafter(two53, 0.0), 1e300, 1.7976931348623157e308,
+      static_cast<double>(std::numeric_limits<float>::max()),
+      static_cast<double>(0.1f), static_cast<double>(-1.17549435e-38f)};
+  for (int e = 15; e <= 23; ++e) {
+    double p = std::pow(10.0, e);
+    values.insert(values.end(), {p, -p, std::nextafter(p, 0.0), p + 0.5});
+  }
+  for (double d : values) {
+    std::string text = Json(d).Dump();
+    EXPECT_EQ(text, json_reference::RefNumberText(d)) << d;
+    auto parsed = Json::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_TRUE(
+        json_reference::SameBits(parsed.ValueUnsafe().AsDouble(), d) ||
+        (d == 0.0 && text == "0"))  // -0 dumps as the integer 0
+        << text;
+  }
+}
+
+// The tokens where from_chars and strtod disagree on their own: a
+// leading '+', out-of-range magnitudes, and the half-formed shapes
+// around them. The parser must decide and value each like strtod.
+TEST(JsonNumberCodecTest, ParseMatchesStrtodOnEdgeTokens) {
+  const char* tokens[] = {
+      "+1", ".5", "1.", "-", "1e", "1e+", "--1", "00", "-0", "1e400",
+      "-1e400", "1e-400", "2e-324", "4.9e-324", "+", "+-1", "++1", "-+1",
+      "+.5", "-.5", "1e+5", "1E-5", "1e5.5", "1.2.3", ".", "e5", "-e5",
+      "1e-", "0e99999999999999999999", "1e99999999999999999999",
+      "-1e-99999999999999999999", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "1.7976931348623159e308",
+      "1.7976931348623158e308", "-2e-324", "0.0000000000000000000001e-310",
+      "100000000000000000000000000000000000000000000e300", "+1e400",
+      "+0", "9007199254740993", "1-2", "1+2"};
+  for (const char* token : tokens) {
+    double want = 0.0;
+    bool accepted = json_reference::RefParseNumber(token, &want);
+    auto parsed = Json::Parse(token);
+    ASSERT_EQ(parsed.ok(), accepted) << token;
+    if (accepted) {
+      EXPECT_TRUE(
+          json_reference::SameBits(parsed.ValueUnsafe().AsDouble(), want))
+          << token;
+    } else {
+      EXPECT_TRUE(parsed.status().IsCorruption()) << token;
+    }
+  }
 }
 
 struct BadInput {

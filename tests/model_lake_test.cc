@@ -172,6 +172,26 @@ TEST_F(ModelLakeTest, MlqlEndToEnd) {
   EXPECT_EQ(ann.models[0].id, "medical-model");
 }
 
+// The plan cache also files each parse under its canonical rendering;
+// a rendering that rounds numbers would hand this first query's plan to
+// the second.
+TEST_F(ModelLakeTest, PlanCacheAliasKeepsDistinctNumbersApart) {
+  auto lake = ModelLake::Open(options_).MoveValueUnsafe();
+  metadata::ModelCard card = Card("big", "sum", "sum/legal");
+  card.num_params = 123456;
+  ASSERT_TRUE(
+      lake->IngestModel(*TrainModel(Task("sum", "legal", 64, 40), 41), card)
+          .ok());
+  auto above =
+      lake->Query("FIND MODELS WHERE num_params >= 123456.4 LIMIT 10")
+          .ValueOrDie();
+  EXPECT_TRUE(above.models.empty());
+  auto at = lake->Query("FIND MODELS WHERE num_params >= 123456 LIMIT 10")
+                .ValueOrDie();
+  ASSERT_EQ(at.models.size(), 1u);
+  EXPECT_EQ(at.models[0].id, "big");
+}
+
 TEST_F(ModelLakeTest, BenchmarkingEvaluatesStoredModels) {
   auto lake = ModelLake::Open(options_).MoveValueUnsafe();
   nn::Dataset train = Task("sum", "legal", 192, 18);

@@ -77,9 +77,11 @@ class FakeLake : public SearchContext {
     return out;
   }
 
+  /// Every listed dataset overlaps fully (1.0).
   Result<std::vector<std::pair<std::string, double>>> TrainedOn(
-      const std::string& dataset, double) const override {
+      const std::string& dataset, double min_overlap) const override {
     std::vector<std::pair<std::string, double>> out;
+    if (min_overlap > 1.0) return out;
     for (const auto& [id, card] : cards_) {
       for (const std::string& d : card.training_datasets) {
         if (d == dataset) out.emplace_back(id, 1.0);
@@ -206,6 +208,17 @@ TEST(ExecutorTest, TrainedOnFilter) {
   for (const auto& m : result.models) {
     EXPECT_NE(m.id, "medical-sum");
   }
+}
+
+// Each call's hit set is keyed by its arguments; thresholds that agree
+// to six digits are still different calls.
+TEST(ExecutorTest, TrainedOnThresholdsKeepSeparateHitSets) {
+  FakeLake lake = MakeLake();
+  auto result = ExecuteQuery(lake,
+                             "FIND MODELS WHERE trained_on('corpus/legal', 1) "
+                             "AND NOT trained_on('corpus/legal', 1.0000001)")
+                    .ValueOrDie();
+  EXPECT_EQ(result.models.size(), 2u);
 }
 
 TEST(ExecutorTest, DerivedFromFilter) {

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <vector>
+
+#include "common/random.h"
+
 namespace mlake::search {
 namespace {
 
@@ -35,6 +44,15 @@ TEST(LexTest, NegativeNumbers) {
   auto tokens = Lex("-3.5e2").ValueOrDie();
   EXPECT_EQ(tokens[0].kind, Token::Kind::kNumber);
   EXPECT_DOUBLE_EQ(tokens[0].number, -350.0);
+}
+
+TEST(LexTest, SignedExponents) {
+  auto tokens = Lex("1e+06 -2.5E-3").ValueOrDie();
+  EXPECT_EQ(tokens[0].number, 1e6);
+  EXPECT_EQ(tokens[1].number, -2.5e-3);
+  // A sign only belongs to an exponent that has digits after it.
+  EXPECT_TRUE(Lex("1e- 2").status().IsInvalidArgument());
+  EXPECT_TRUE(Lex("1+2").status().IsInvalidArgument());
 }
 
 TEST(LexTest, Errors) {
@@ -168,6 +186,51 @@ TEST(ToStringTest, CanonicalRendering) {
 TEST(ToStringTest, EscapesQuotes) {
   auto query = ParseQuery("FIND MODELS WHERE name = 'it''s'").MoveValueUnsafe();
   EXPECT_NE(ToString(query).find("'it''s'"), std::string::npos);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The canonical rendering is the plan cache's alias key, so it must not
+// merge distinct literals: ParseQuery(ToString(q)) gives back the same
+// bits, in comparisons and in call arguments.
+TEST(ToStringTest, NumberLiteralsRoundTripBitExact) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, 123456.0, 123456.4, 1e6, 1e-7, -2.5e-300, 0.1,
+      1.0 / 3, DBL_MAX, -DBL_MIN, std::numeric_limits<double>::denorm_min(),
+      9007199254740993.0, 1e21, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  Rng rng(29);
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t bits = rng.NextU64();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (!std::isnan(d)) values.push_back(d);
+    values.push_back(rng.Uniform(-1e6, 1e6));
+  }
+  for (double d : values) {
+    Query query;
+    query.where = std::make_unique<Expr>();
+    query.where->kind = Expr::Kind::kCompare;
+    query.where->field = "num_params";
+    query.where->op = CompareOp::kGe;
+    query.where->value.kind = Literal::Kind::kNumber;
+    query.where->value.number_value = d;
+    query.has_rank = true;
+    query.rank.function = "metric";
+    query.rank.args.resize(2);
+    query.rank.args[0].string_value = "bench";
+    query.rank.args[1].kind = Literal::Kind::kNumber;
+    query.rank.args[1].number_value = d;
+    std::string text = ToString(query);
+    auto back = ParseQuery(text);
+    ASSERT_TRUE(back.ok()) << text << ": " << back.status().ToString();
+    const Query& parsed = back.ValueUnsafe();
+    ASSERT_TRUE(SameBits(parsed.where->value.number_value, d)) << text;
+    ASSERT_TRUE(SameBits(parsed.rank.args[1].number_value, d)) << text;
+    EXPECT_EQ(ToString(parsed), text);
+  }
 }
 
 }  // namespace
