@@ -6,7 +6,8 @@
 //   - trailing IngestCards batch latency before and after compaction
 //     (the amortized per-ingest index cost — flat across tiers)
 //   - CompactIndices wall time (the O(lake) cost paid once per
-//     generation, amortized O(1) per ingested model)
+//     generation, amortized O(1) per ingested model), and the cost of
+//     a second pass with no mutation in between (a no-op skip)
 //   - reopen cost: snapshot load (mmap + reconcile) vs full rebuild
 //   - search p50/p99 over the snapshot-backed lake (flat across tiers)
 //   - resident set size after the snapshot-backed reopen
@@ -152,6 +153,7 @@ void RunTier(JsonBench* bench, size_t tier) {
   double batch_before_ms = 0.0;
   double compact_ms = 0.0;
   double batch_after_ms = 0.0;
+  double compact_noop_ms = 0.0;
   {
     auto lake = Unwrap(core::ModelLake::Open(ScaleOptions(root)), "Open");
     lakegen::StreamGenConfig gen;
@@ -186,6 +188,11 @@ void RunTier(JsonBench* bench, size_t tier) {
     // delta-graph vs one union graph — a different approximate ANN
     // structure by design; BM25/LSH merge exactly either way.)
     Check(lake->CompactIndices(), "CompactIndices(final)");
+    // Nothing changed since that pass: this one must skip the rebuild.
+    auto t_noop = Clock::now();
+    Check(lake->CompactIndices(), "CompactIndices(no-op)");
+    compact_noop_ms = MsSince(t_noop);
+    std::printf("  no-op compact %.3f ms\n", compact_noop_ms);
   }
 
   // Reopen from snapshot (mmap + reconcile of the post-compaction
@@ -244,6 +251,7 @@ void RunTier(JsonBench* bench, size_t tier) {
   bench->Derived("compact_ms@" + label, compact_ms);
   bench->Derived("compact_us_per_model_amortized@" + label,
                  compact_ms * 1000.0 / tier);
+  bench->Derived("compact_noop_ms@" + label, compact_noop_ms);
   bench->Derived("open_snapshot_ms@" + label, open_snapshot_ms);
   bench->Derived("open_rebuild_ms@" + label, open_rebuild_ms);
   bench->Derived("open_speedup@" + label, open_rebuild_ms / open_snapshot_ms);
@@ -278,6 +286,9 @@ int Main(int argc, char** argv) {
   bench.Meta("huge", huge);
   bench.Meta("threads", static_cast<int64_t>(
                             std::thread::hardware_concurrency()));
+  bench.Meta("cores",
+             static_cast<int64_t>(std::thread::hardware_concurrency()));
+  bench.Meta("build_type", MLAKE_BUILD_TYPE);
 
   std::vector<size_t> tiers = {10000};
   if (!quick) tiers.push_back(100000);

@@ -104,12 +104,6 @@ Result<Json> ParseJsonBody(const HttpResponse& response) {
   return parsed;
 }
 
-Json FloatVecToJson(const std::vector<float>& vec) {
-  Json arr = Json::MakeArray();
-  for (float f : vec) arr.Append(Json(static_cast<double>(f)));
-  return arr;
-}
-
 /// One merged search hit. Scores travel the wire as 17-significant-digit
 /// doubles (std::to_chars out, std::from_chars back: an exact double
 /// round trip), so sorting parsed legs with the executor's comparator
@@ -1072,7 +1066,7 @@ HttpResponse Router::SearchMlql(const std::string& query,
     auto vec = ResolveEmbedding(rank_id, deadline);
     if (!vec.ok()) return ErrorResponse(vec.status());
     Json embeddings = Json::MakeObject();
-    embeddings.Set(rank_id, FloatVecToJson(vec.ValueUnsafe()));
+    embeddings.Set(rank_id, FloatsToJson(vec.ValueUnsafe()));
     overlay.Set("embeddings", std::move(embeddings));
     has_overlay = true;
   }
@@ -1146,7 +1140,7 @@ HttpResponse Router::SearchAnn(const Json& body, size_t k,
     }
     auto resolved = ResolveEmbedding(query_id, deadline);
     if (!resolved.ok()) return ErrorResponse(resolved.status());
-    vec_json = FloatVecToJson(resolved.ValueUnsafe());
+    vec_json = FloatsToJson(resolved.ValueUnsafe());
     exclude_id = query_id;
   }
 
@@ -1207,7 +1201,7 @@ HttpResponse Router::SearchHybrid(const std::string& text,
   Json parts_body = Json::MakeObject();
   parts_body.Set("type", "hybrid_parts");
   parts_body.Set("query", parts_query);
-  parts_body.Set("vec", FloatVecToJson(query_vec.ValueUnsafe()));
+  parts_body.Set("vec", FloatsToJson(query_vec.ValueUnsafe()));
   parts_body.Set("k", 1);  // unused by the handler; satisfies validation
   auto parts_legs =
       ScatterAll("POST", "/v1/search", parts_body.Dump(), deadline);
@@ -1289,18 +1283,10 @@ Result<std::vector<float>> Router::ResolveEmbedding(
   if (response.status != 200) return StatusFromResponse(response);
   MLAKE_ASSIGN_OR_RETURN(Json body, ParseJsonBody(response));
   const Json* emb = body.Find("embedding");
-  if (emb == nullptr || !emb->is_array()) {
+  if (emb == nullptr) {
     return Status::Internal("embedding response has no vector");
   }
-  std::vector<float> vec;
-  vec.reserve(emb->size());
-  for (const Json& v : emb->AsArray()) {
-    if (!v.is_number()) {
-      return Status::Internal("embedding response holds a non-number");
-    }
-    vec.push_back(static_cast<float>(v.AsDouble()));
-  }
-  return vec;
+  return FloatsFromJson(*emb, "embedding response", StatusCode::kInternal);
 }
 
 Result<Json> Router::GlobalKeywordStats(const std::string& query,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
 
@@ -521,6 +522,33 @@ bool operator==(const Json& a, const Json& b) {
       return a.object_ == b.object_;
   }
   return false;
+}
+
+Json FloatsToJson(const std::vector<float>& vec) {
+  Json arr = Json::MakeArray();
+  for (float x : vec) arr.Append(Json(static_cast<double>(x)));
+  return arr;
+}
+
+Result<std::vector<float>> FloatsFromJson(const Json& arr,
+                                          std::string_view what,
+                                          StatusCode code) {
+  auto fail = [&](const char* why) {
+    return Status(code, std::string(what) + " " + why);
+  };
+  if (!arr.is_array()) return fail("must be a float array");
+  std::vector<float> out;
+  out.reserve(arr.size());
+  for (const Json& x : arr.AsArray()) {
+    if (!x.is_number()) return fail("must hold numbers only");
+    const double d = x.AsDouble();
+    // Also false for NaN.
+    if (!(std::fabs(d) <= static_cast<double>(FLT_MAX))) {
+      return fail("holds a value outside float range");
+    }
+    out.push_back(static_cast<float>(d));
+  }
+  return out;
 }
 
 }  // namespace mlake

@@ -114,6 +114,22 @@ class Json {
   Object object_;
 };
 
+/// A float vector as a JSON number array. FloatsFromJson reads it back
+/// bit-equal: every float widens to a double and narrows back without
+/// loss, and Dump/Parse round-trip doubles exactly (17 significant
+/// digits out, std::from_chars back).
+Json FloatsToJson(const std::vector<float>& vec);
+
+/// Reads a JSON number array back as floats. Every element must be a
+/// finite number with |x| <= FLT_MAX: narrowing a larger double is
+/// undefined behaviour, and an inf (what the parser makes of `1e400`)
+/// would poison every distance it touches. Errors carry `code` and name
+/// `what` — InvalidArgument for request bodies, Corruption for stored
+/// or replicated bytes.
+Result<std::vector<float>> FloatsFromJson(
+    const Json& arr, std::string_view what,
+    StatusCode code = StatusCode::kInvalidArgument);
+
 }  // namespace mlake
 
 #endif  // MLAKE_COMMON_JSON_H_

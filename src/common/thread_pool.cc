@@ -110,6 +110,17 @@ Status TaskGroup::Wait() {
   return Status::OK();
 }
 
+ExecutionContext ExecutionContext::Shared() {
+  // Leaked on purpose (see the declaration): destroying it at exit
+  // would join workers that lakes destroyed later may still need, and
+  // a forked child has no workers to join.
+  static const auto* const pool =
+      new std::shared_ptr<ThreadPool>(std::make_shared<ThreadPool>(0));
+  ExecutionContext ctx;
+  ctx.pool = *pool;
+  return ctx;
+}
+
 namespace internal {
 
 Status ParallelForImpl(const ExecutionContext& ctx, size_t begin, size_t end,

@@ -97,14 +97,23 @@ class TaskGroup {
 };
 
 /// Execution policy handed down through LakeOptions and config structs.
-/// A default-constructed context is serial (no pool); `WithThreads(n)`
-/// owns a shared pool. Copies share the same pool, so one context can
-/// fan out through every lake layer.
+/// A default-constructed context is serial (no pool); `Shared()` hands
+/// out the process-wide pool and `WithThreads(n)` owns a private one.
+/// Copies share the same pool, so one context can fan out through every
+/// lake layer.
 struct ExecutionContext {
   std::shared_ptr<ThreadPool> pool;
 
   /// Serial execution (ParallelFor degenerates to a plain loop).
   static ExecutionContext Serial() { return ExecutionContext{}; }
+
+  /// The process-wide pool (hardware-concurrency workers), created on
+  /// first use and shared by every caller: the LakeOptions default, so
+  /// all lakes in one process draw on one set of cores. It is never
+  /// destroyed, so a lake that outlives static destruction still has
+  /// it; a forked child inherits it without workers, and its waiters
+  /// then drain their own tasks (see TaskGroup::Wait).
+  static ExecutionContext Shared();
 
   /// A context backed by a pool of `n` workers (n <= 0: hardware
   /// concurrency). n == 1 still builds a pool — useful for exercising

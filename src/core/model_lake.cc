@@ -33,23 +33,6 @@ const std::vector<std::string>& ReplicatedKinds() {
   return kinds;
 }
 
-Json FloatsToJson(const std::vector<float>& v) {
-  Json arr = Json::MakeArray();
-  for (float x : v) arr.Append(Json(static_cast<double>(x)));
-  return arr;
-}
-
-Result<std::vector<float>> FloatsFromJson(const Json& j) {
-  if (!j.is_array()) return Status::Corruption("expected float array");
-  std::vector<float> out;
-  out.reserve(j.size());
-  for (const Json& x : j.AsArray()) {
-    if (!x.is_number()) return Status::Corruption("expected number");
-    out.push_back(static_cast<float>(x.AsDouble()));
-  }
-  return out;
-}
-
 /// Snapshot file name of one index at one generation.
 std::string SnapName(const char* prefix, uint64_t generation) {
   return StrFormat("%s.%llu.snap", prefix,
@@ -324,7 +307,9 @@ Status ModelLake::BuildIndexSetFromCatalog(IndexSet* out) const {
         ParallelFor(exec, 0, ids.size(), [&](size_t i) -> Status {
           MLAKE_ASSIGN_OR_RETURN(Json doc,
                                  catalog_->GetDoc("embedding", ids[i]));
-          MLAKE_ASSIGN_OR_RETURN(vecs[i], FloatsFromJson(doc));
+          MLAKE_ASSIGN_OR_RETURN(
+              vecs[i], FloatsFromJson(doc, "embedding doc",
+                                      StatusCode::kCorruption));
           return Status::OK();
         }));
     std::vector<int64_t> internal_ids(ids.size());
@@ -538,7 +523,9 @@ Status ModelLake::LoadIndexSnapshots() {
             texts[i] = card.SearchText();
             MLAKE_ASSIGN_OR_RETURN(Json emb_doc,
                                    catalog_->GetDoc("embedding", added[i]));
-            MLAKE_ASSIGN_OR_RETURN(vecs[i], FloatsFromJson(emb_doc));
+            MLAKE_ASSIGN_OR_RETURN(
+                vecs[i], FloatsFromJson(emb_doc, "embedding doc",
+                                        StatusCode::kCorruption));
             return Status::OK();
           }));
       std::vector<int64_t> internal_ids(added.size());
@@ -609,12 +596,21 @@ Status ModelLake::CompactIndices() {
 
   // Phase 1 (shared lock): rebuild a fresh single-segment set from the
   // catalog. Deterministic given the catalog, so the result is
-  // bit-identical to what a cold Open() would build.
+  // bit-identical to what a cold Open() would build — which is also why
+  // a pass with nothing new since the generation this lake last
+  // published (same epoch, same generation, manifest still on disk)
+  // would only rewrite the same files, and is skipped.
   uint64_t epoch;
   IndexSet fresh;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     epoch = mutation_epoch_;
+    if (published_generation_ != 0 &&
+        published_generation_ == index_generation_ &&
+        published_epoch_ == epoch && fs_->FileExists(IndexManifestPath())) {
+      ++passes_skipped_;
+      return Status::OK();
+    }
     MLAKE_RETURN_NOT_OK(BuildIndexSetFromCatalog(&fresh));
   }
   MLAKE_RETURN_NOT_OK(fs_->CreateDirs(IndexDir()));
@@ -655,6 +651,7 @@ Status ModelLake::CompactIndices() {
     std::unique_lock<std::shared_mutex> lock(mu_);
     outcome = wrote;
     if (outcome.ok() && epoch != mutation_epoch_) {
+      ++passes_aborted_;
       outcome = Status::Unavailable(
           "lake mutated during compaction; pass aborted");
     }
@@ -678,6 +675,9 @@ Status ModelLake::CompactIndices() {
           &loaded);
       InstallIndexSet(reloaded.ok() ? std::move(loaded) : std::move(fresh));
       index_generation_ = gen;
+      published_generation_ = gen;
+      published_epoch_ = epoch;
+      ++passes_published_;
     }
     // GC covers both exits: superseded old-generation files after a
     // swap, orphaned new-generation files after an abort or a failed
@@ -690,11 +690,12 @@ Status ModelLake::CompactIndices() {
     }
     Status committed = journal_->Commit(intent.seq);
     if (outcome.ok()) outcome = committed;
+    // Under the exclusive lock: IndexStatsJson reads it shared.
+    last_compact_ms_ =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
   }
-  last_compact_ms_ =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
   return outcome;
 }
 
@@ -748,6 +749,11 @@ Json ModelLake::IndexStatsJson() const {
   Json out = Json::MakeObject();
   out.Set("generation", static_cast<int64_t>(index_generation_));
   out.Set("last_compaction_ms", last_compact_ms_);
+  Json passes = Json::MakeObject();
+  passes.Set("published", passes_published_.load());
+  passes.Set("aborted", passes_aborted_.load());
+  passes.Set("skipped", passes_skipped_.load());
+  out.Set("compactions", std::move(passes));
   out.Set("ann", seg(ann_->BaseSize(), ann_->DeltaSize(), ann_->Tombstones(),
                      ann_->Size(), ann_->snapshot_generation()));
   out.Set("bm25",
@@ -1621,7 +1627,9 @@ Status ModelLake::ApplyReplicated(
         MLAKE_ASSIGN_OR_RETURN(
             batch[i].card, metadata::ModelCard::FromJson(cards->AsArray()[i]));
         MLAKE_ASSIGN_OR_RETURN(batch[i].embedding,
-                               FloatsFromJson(embeddings->AsArray()[i]));
+                               FloatsFromJson(embeddings->AsArray()[i],
+                                              "replicated embedding",
+                                              StatusCode::kCorruption));
       }
       Result<std::vector<std::string>> ids = IngestCardsLocked(batch);
       return ids.ok() ? Status::OK() : ids.status();
@@ -2198,7 +2206,9 @@ Result<std::vector<float>> ModelLake::EmbeddingForUnlocked(
     }
   }
   MLAKE_ASSIGN_OR_RETURN(Json doc, catalog_->GetDoc("embedding", id));
-  MLAKE_ASSIGN_OR_RETURN(std::vector<float> vec, FloatsFromJson(doc));
+  MLAKE_ASSIGN_OR_RETURN(
+      std::vector<float> vec,
+      FloatsFromJson(doc, "embedding doc", StatusCode::kCorruption));
   if (!key.empty()) {
     embedding_cache_->Put(key,
                           std::make_shared<const std::vector<float>>(vec),

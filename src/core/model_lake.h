@@ -1,6 +1,7 @@
 #ifndef MLAKE_CORE_MODEL_LAKE_H_
 #define MLAKE_CORE_MODEL_LAKE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -65,12 +66,16 @@ struct LakeOptions {
   size_t minhash_rows = 2;
 
   /// Execution context for every parallel path inside the lake:
-  /// batch-ingest embedding, index rebuild on Open, heritage recovery,
-  /// fsck. Default is serial; pass ExecutionContext::WithThreads(n) to
-  /// parallelize. All parallel paths are deterministic-by-construction
+  /// batch-ingest embedding and delta ANN build, compaction, index
+  /// rebuild on Open, the replica apply path, heritage recovery, fsck.
+  /// Default is the process-wide pool (ExecutionContext::Shared(), one
+  /// worker per core, shared by every lake in the process); pass
+  /// ExecutionContext::Serial() to opt out or WithThreads(n) for a
+  /// private pool. All parallel paths are deterministic-by-construction
   /// (statically partitioned, reduced in index order), so lake
-  /// contents and query results are identical at any thread count.
-  ExecutionContext exec;
+  /// contents, snapshot files and query results are identical at any
+  /// thread count.
+  ExecutionContext exec = ExecutionContext::Shared();
 
   // ----------------------------------------------------- storage layer
   // (PR 3: zero-copy reads + caching. Caches sit on the read path only,
@@ -617,12 +622,16 @@ class ModelLake : public search::SearchContext {
   /// compacted index answers queries identically to a from-scratch
   /// rebuild. Safe on a live lake; returns Unavailable (and changes
   /// nothing) when a mutation lands mid-pass — the caller or the next
-  /// background trigger retries.
+  /// background trigger retries. A no-op pass — no mutation since the
+  /// last generation this lake published, whose manifest is still in
+  /// place — returns OK at once: it builds and writes nothing and keeps
+  /// the generation.
   Status CompactIndices();
 
   /// Per-index base/delta/tombstone counts, the loaded snapshot
-  /// generation and the last compaction duration — the index surface of
-  /// `/statsz` and `mlake stats`.
+  /// generation, the last compaction duration and the compaction pass
+  /// counters ({"compactions": {"published", "aborted", "skipped"}}) —
+  /// the index surface of `/statsz` and `mlake stats`.
   Json IndexStatsJson() const;
 
   /// The loaded index snapshot generation (0 = built from the catalog)
@@ -910,6 +919,17 @@ class ModelLake : public search::SearchContext {
   /// a compaction pass aborts its swap when the epoch moved under it.
   uint64_t mutation_epoch_ = 0;
   double last_compact_ms_ = 0.0;
+  /// Mutation epoch and generation of the last pass this lake published
+  /// (generation 0 = none yet): while both still hold, a pass would
+  /// rebuild the same files, so CompactIndices skips it.
+  uint64_t published_epoch_ = 0;
+  uint64_t published_generation_ = 0;
+  /// Compaction pass outcomes since Open: published a generation,
+  /// aborted because the epoch moved, skipped as a no-op. Atomic
+  /// because a skip is counted under the shared lock.
+  std::atomic<uint64_t> passes_published_{0};
+  std::atomic<uint64_t> passes_aborted_{0};
+  std::atomic<uint64_t> passes_skipped_{0};
 
   /// Background compactor, started lazily on the first trigger so
   /// small lakes never spawn a thread.

@@ -75,29 +75,6 @@ Status BodyError(const Status& status, const char* what) {
   return Status::InvalidArgument(std::string(what) + ": " + status.message());
 }
 
-/// Parses a JSON float array ([0.25, -1.5, ...]) into a vector<float>.
-/// Exact round trip: Json::Dump prints doubles with 17 significant
-/// digits (std::to_chars, the bytes of "%.17g"), Json::Parse reads them
-/// back bit-equal (std::from_chars), and every float widens to a double
-/// and narrows back without loss.
-Result<std::vector<float>> FloatVecFromJson(const Json& arr,
-                                            const char* what) {
-  if (!arr.is_array()) {
-    return Status::InvalidArgument(std::string(what) +
-                                   " must be a float array");
-  }
-  std::vector<float> vec;
-  vec.reserve(arr.size());
-  for (const Json& v : arr.AsArray()) {
-    if (!v.is_number()) {
-      return Status::InvalidArgument(std::string(what) +
-                                     " must hold numbers only");
-    }
-    vec.push_back(static_cast<float>(v.AsDouble()));
-  }
-  return vec;
-}
-
 /// Parses the wire form of Bm25Stats ({"live_docs": n, "total_tokens":
 /// n, "df": {"term": n, ...}}). Integer-valued throughout, so summed
 /// router-side stats arrive bit-exact.
@@ -869,7 +846,7 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
       if (const Json* embs = overlay_json->Find("embeddings");
           embs != nullptr && embs->is_object()) {
         for (const auto& [emb_id, arr] : embs->AsObject()) {
-          auto vec = FloatVecFromJson(arr, "overlay embedding");
+          auto vec = FloatsFromJson(arr, "overlay embedding");
           if (!vec.ok()) return ErrorResponse(vec.status());
           overlay.embeddings[emb_id] = vec.MoveValueUnsafe();
         }
@@ -942,7 +919,7 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
       return ErrorResponse(
           Status::InvalidArgument("ann_vec search requires \"vec\""));
     }
-    auto vec = FloatVecFromJson(*vec_json, "vec");
+    auto vec = FloatsFromJson(*vec_json, "vec");
     if (!vec.ok()) return ErrorResponse(vec.status());
     auto result = lake_->RelatedModelsByVector(
         vec.ValueUnsafe(), k, body.GetString("exclude_id"));
@@ -958,7 +935,7 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
       return ErrorResponse(Status::InvalidArgument(
           "hybrid_parts requires \"query\" and \"vec\""));
     }
-    auto vec = FloatVecFromJson(*vec_json, "vec");
+    auto vec = FloatsFromJson(*vec_json, "vec");
     if (!vec.ok()) return ErrorResponse(vec.status());
     auto parts = lake_->HybridParts(query, vec.ValueUnsafe());
     if (!parts.ok()) return ErrorResponse(parts.status());

@@ -249,5 +249,34 @@ TEST(JsonTest, BuilderUpgradesNullToObjectAndArray) {
   EXPECT_EQ(a.size(), 1u);
 }
 
+TEST(JsonFloatsTest, RoundTripsAndKeepsFloatRangeEdges) {
+  const std::vector<float> v = {0.25f, -1.5f, FLT_MAX, -FLT_MAX,
+                                FLT_MIN, 0.0f};
+  auto back =
+      FloatsFromJson(Json::Parse(FloatsToJson(v).Dump()).ValueOrDie(), "v");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.ValueUnsafe(), v);
+}
+
+TEST(JsonFloatsTest, RejectsValuesOutsideFloatRange) {
+  // 1e39 is a finite double beyond FLT_MAX (narrowing it is undefined
+  // behaviour); 1e400 parses to inf.
+  for (const char* text :
+       {"[1e39]", "[-1e39]", "[1e400]", "[0.5, -1e400]"}) {
+    SCOPED_TRACE(text);
+    Json arr = Json::Parse(text).ValueOrDie();
+    auto wire = FloatsFromJson(arr, "vec");
+    EXPECT_TRUE(wire.status().IsInvalidArgument());
+    auto stored =
+        FloatsFromJson(arr, "embedding doc", StatusCode::kCorruption);
+    EXPECT_TRUE(stored.status().IsCorruption());
+    EXPECT_NE(stored.status().message().find("embedding doc"),
+              std::string::npos);
+  }
+  EXPECT_FALSE(FloatsFromJson(Json("1.0"), "vec").ok());
+  Json mixed = Json::Parse(R"([1, "x"])").ValueOrDie();
+  EXPECT_FALSE(FloatsFromJson(mixed, "vec").ok());
+}
+
 }  // namespace
 }  // namespace mlake

@@ -8,7 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/file_util.h"
+#include "common/random.h"
+#include "common/string_util.h"
 #include "core/model_lake.h"
 #include "lakegen/lakegen.h"
 
@@ -182,6 +189,77 @@ TEST(LakeDeterminismTest, OneThreadPoolMatchesSerialPath) {
   EXPECT_EQ(serial.artifact_digests, one.artifact_digests);
   EXPECT_EQ(serial.embeddings, one.embeddings);
   EXPECT_EQ(serial.recovered_heritage_json, one.recovered_heritage_json);
+
+  ASSERT_TRUE(RemoveAll(root).ok());
+}
+
+/// Streams the same metadata-only population (three IngestCards
+/// batches plus two datasets) into a lake, compacts it, and returns the
+/// bytes of every file in its index dir by name.
+std::map<std::string, std::string> CompactedIndexFiles(
+    const std::string& root, const ExecutionContext* exec) {
+  core::LakeOptions options;
+  options.root = root;
+  options.probe_count = 4;
+  options.background_compaction = false;
+  if (exec != nullptr) options.exec = *exec;
+  auto lake = core::ModelLake::Open(options).MoveValueUnsafe();
+  const size_t dim = static_cast<size_t>(lake->EmbeddingDim());
+  Rng rng(2024);
+  for (int b = 0; b < 3; ++b) {
+    std::vector<core::CardIngest> batch(200);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      metadata::ModelCard& card = batch[i].card;
+      card.model_id = StrFormat("det/%d-%03zu", b, i);
+      card.name = card.model_id;
+      card.task = i % 3 == 0 ? "summarization" : "retrieval";
+      card.tags = {"determinism", i % 2 == 0 ? "legal" : "news"};
+      card.training_datasets = {"synthetic/news"};
+      batch[i].embedding.resize(dim);
+      for (float& x : batch[i].embedding) {
+        x = static_cast<float>(rng.Normal());
+      }
+    }
+    EXPECT_TRUE(lake->IngestCards(batch).ok());
+  }
+  EXPECT_TRUE(lake->RegisterDataset("det/a", {"s1", "s2", "s3"}).ok());
+  EXPECT_TRUE(lake->RegisterDataset("det/b", {"s2", "s3", "s4"}).ok());
+  EXPECT_TRUE(lake->CompactIndices().ok());
+
+  const std::string index_dir = JoinPath(root, "index");
+  std::map<std::string, std::string> files;
+  const std::vector<std::string> names = ListDir(index_dir).ValueOrDie();
+  for (const std::string& name : names) {
+    files[name] = ReadFile(JoinPath(index_dir, name)).ValueOrDie();
+  }
+  return files;
+}
+
+TEST(LakeDeterminismTest, SnapshotFilesIdenticalSerialAndDefaultPool) {
+  // Compaction on the default (process-wide, multi-core) pool writes
+  // the same ann/bm25/lsh/ids snapshot bytes as a serial lake: HNSW's
+  // bulk build is thread-count-invariant and the rest is built in
+  // catalog order.
+  auto dir = MakeTempDir("mlake-determinism-snap");
+  ASSERT_TRUE(dir.ok());
+  const std::string root = dir.ValueUnsafe();
+
+  const ExecutionContext serial = ExecutionContext::Serial();
+  auto serial_files = CompactedIndexFiles(JoinPath(root, "serial"), &serial);
+  auto pooled_files = CompactedIndexFiles(JoinPath(root, "pooled"), nullptr);
+  // On a multi-core host the default lake really takes the pool path.
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GT(core::LakeOptions().exec.parallelism(), 1);
+  }
+
+  for (const char* name : {"ann.1.snap", "bm25.1.snap", "lsh.1.snap",
+                           "ids.1.snap", "MANIFEST.json"}) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(serial_files.count(name), 1u);
+    ASSERT_EQ(pooled_files.count(name), 1u);
+    EXPECT_TRUE(serial_files[name] == pooled_files[name]);
+  }
+  EXPECT_EQ(serial_files.size(), pooled_files.size());
 
   ASSERT_TRUE(RemoveAll(root).ok());
 }

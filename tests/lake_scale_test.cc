@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -303,6 +304,82 @@ TEST_F(LakeScaleTest, IndexStatsJsonShape) {
   EXPECT_EQ(ann->GetInt64("delta"), 0);
   EXPECT_EQ(ann->GetInt64("snapshot_generation"), 1);
   EXPECT_GE(stats.GetDouble("last_compaction_ms"), 0.0);
+  const Json* passes = stats.Find("compactions");
+  ASSERT_NE(passes, nullptr);
+  EXPECT_EQ(passes->GetInt64("published"), 1);
+  EXPECT_EQ(passes->GetInt64("aborted"), 0);
+  EXPECT_EQ(passes->GetInt64("skipped"), 0);
+
+  // Nothing changed since that pass: the next one is counted as skipped.
+  ASSERT_TRUE(lake->CompactIndices().ok());
+  stats = lake->IndexStatsJson();
+  passes = stats.Find("compactions");
+  ASSERT_NE(passes, nullptr);
+  EXPECT_EQ(passes->GetInt64("published"), 1);
+  EXPECT_EQ(passes->GetInt64("skipped"), 1);
+}
+
+/// Name, size and bytes of every file under the lake's index dir.
+std::map<std::string, std::string> IndexFiles(const std::string& root) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(JoinPath(root, "index"))) {
+    files[entry.path().filename().string()] =
+        ReadFile(entry.path().string()).ValueOrDie();
+  }
+  return files;
+}
+
+TEST_F(LakeScaleTest, CompactionWithoutMutationIsANoOp) {
+  LakeOptions options = Options("noop");
+  auto lake = ModelLake::Open(options).MoveValueUnsafe();
+  const int64_t dim = lake->EmbeddingDim();
+  ASSERT_TRUE(lake->IngestCards(MakeBatch(dim, 30, 21, "n")).ok());
+  ASSERT_TRUE(lake->RegisterDataset("noop/a", {"x", "y", "z"}).ok());
+  ASSERT_TRUE(lake->CompactIndices().ok());
+  ASSERT_EQ(lake->IndexGeneration(), 1u);
+  const auto files = IndexFiles(options.root);
+  const auto manifest_time = std::filesystem::last_write_time(
+      JoinPath(options.root, "index/MANIFEST.json"));
+
+  // A second pass with no mutation in between builds and writes
+  // nothing: same generation, same manifest, same index files.
+  ASSERT_TRUE(lake->CompactIndices().ok());
+  EXPECT_EQ(lake->IndexGeneration(), 1u);
+  EXPECT_EQ(IndexFiles(options.root), files);
+  EXPECT_EQ(std::filesystem::last_write_time(
+                JoinPath(options.root, "index/MANIFEST.json")),
+            manifest_time);
+
+  // Each index-affecting mutation makes the next pass publish a new
+  // generation; a pass right after it is a no-op again.
+  uint64_t gen = 1;
+  auto expect_publishes = [&](const char* what) {
+    SCOPED_TRACE(what);
+    ASSERT_TRUE(lake->CompactIndices().ok());
+    EXPECT_EQ(lake->IndexGeneration(), ++gen);
+    ASSERT_TRUE(lake->CompactIndices().ok());
+    EXPECT_EQ(lake->IndexGeneration(), gen);
+  };
+  ASSERT_TRUE(lake->IngestCards(MakeBatch(dim, 5, 22, "more")).ok());
+  expect_publishes("IngestCards");
+  metadata::ModelCard card = lake->CardFor("n-003").MoveValueUnsafe();
+  card.description = "edited between passes";
+  ASSERT_TRUE(lake->UpdateCard(card).ok());
+  expect_publishes("UpdateCard");
+  ASSERT_TRUE(lake->RegisterDataset("noop/b", {"y", "z", "w"}).ok());
+  expect_publishes("RegisterDataset");
+
+  // A manifest removed behind the lake's back is not "still in place":
+  // the pass runs again and writes a fresh generation.
+  ASSERT_TRUE(
+      RemoveFile(JoinPath(options.root, "index/MANIFEST.json")).ok());
+  expect_publishes("manifest removed");
+
+  Json passes = *lake->IndexStatsJson().Find("compactions");
+  EXPECT_EQ(passes.GetInt64("published"), 5);
+  EXPECT_EQ(passes.GetInt64("skipped"), 5);
+  EXPECT_EQ(passes.GetInt64("aborted"), 0);
 }
 
 TEST_F(LakeScaleTest, BackgroundCompactionTriggersAndConverges) {

@@ -178,6 +178,39 @@ TEST(OpLogJournalTest, EpochIsDurableAndMonotonic) {
 // HttpClient: non-idempotent POSTs must not ride the keep-alive retry
 // ---------------------------------------------------------------------------
 
+TEST(ReplicatedPayloadTest, OutOfRangeEmbeddingIsCorruption) {
+  // A shipped card ingest whose embedding holds a double beyond float
+  // range (or an inf) is a corrupt payload: refused before anything
+  // is applied, never narrowed into the index.
+  auto dir = MakeTempDir("mlake-repl-payload");
+  ASSERT_TRUE(dir.ok());
+  auto lake = core::ModelLake::Open(LakeOpts(dir.ValueUnsafe()))
+                  .MoveValueUnsafe();
+  for (const char* bad : {"1e39", "-1e39", "1e400"}) {
+    SCOPED_TRACE(bad);
+    std::string emb = std::string("[") + bad;
+    for (int64_t i = 1; i < lake->EmbeddingDim(); ++i) emb += ", 0.5";
+    emb += "]";
+    storage::Intent entry;
+    entry.seq = 1;
+    entry.epoch = lake->ReplicationEpoch();
+    entry.op = "ingest";
+    entry.ids = {"shipped"};
+    entry.payload = Json::MakeObject();
+    Json cards = Json::MakeArray();
+    cards.Append(Card("shipped", "sum").ToJson());
+    entry.payload.Set("cards", std::move(cards));
+    Json embeddings = Json::MakeArray();
+    embeddings.Append(Json::Parse(emb).ValueOrDie());
+    entry.payload.Set("embeddings", std::move(embeddings));
+    Status st = lake->ApplyReplicated(entry, {});
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_EQ(lake->NumModels(), 0u);
+  }
+  lake.reset();
+  ASSERT_TRUE(RemoveAll(dir.ValueUnsafe()).ok());
+}
+
 TEST(ClientIdempotencyTest, NonIdempotentPostIsNotSilentlyResent) {
   std::string dir = MakeTempDir("mlake-noretry").ValueOrDie();
   core::LakeOptions options;

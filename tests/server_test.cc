@@ -274,6 +274,48 @@ TEST_F(ServerTest, SearchRejectsBadBodies) {
   EXPECT_EQ(unknown_ann_id.ValueUnsafe().status, 404);
 }
 
+TEST_F(ServerTest, SearchRejectsVectorsOutsideFloatRange) {
+  // 1e39 and -1e39 are finite doubles beyond FLT_MAX (narrowing them is
+  // undefined behaviour); 1e400 parses to inf. Each is a 400 wherever a
+  // request carries a raw vector, while the same vector with in-range
+  // values answers 200.
+  auto client = Client();
+  const size_t dim = static_cast<size_t>(lake_->EmbeddingDim());
+  auto vec_with = [dim](const std::string& first) {
+    std::string v = "[" + first;
+    for (size_t i = 1; i < dim; ++i) v += ", 0.25";
+    return v + "]";
+  };
+  auto ok = client.Post(
+      "/v1/search", R"({"type": "ann_vec", "k": 2, "vec": )" +
+                        vec_with("0.5") + "}");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.ValueUnsafe().status, 200) << ok.ValueUnsafe().body;
+
+  for (const char* bad : {"1e39", "-1e39", "1e400"}) {
+    SCOPED_TRACE(bad);
+    const std::string vec = vec_with(bad);
+    const std::string bodies[] = {
+        R"({"type": "ann_vec", "k": 2, "vec": )" + vec + "}",
+        R"({"type": "hybrid_parts", "query": "sum", "vec": )" + vec + "}",
+        R"({"type": "mlql", "query": "FIND MODELS LIMIT 1", )"
+        R"("overlay": {"embeddings": {"off-shard": )" +
+            vec + "}}}",
+    };
+    for (const std::string& body : bodies) {
+      auto response = client.Post("/v1/search", body);
+      ASSERT_TRUE(response.ok());
+      EXPECT_EQ(response.ValueUnsafe().status, 400)
+          << response.ValueUnsafe().body;
+      auto parsed = Json::Parse(response.ValueUnsafe().body).ValueOrDie();
+      EXPECT_EQ(parsed.Find("error")->GetString("code"), "InvalidArgument");
+      EXPECT_NE(parsed.Find("error")->GetString("message").find(
+                    "outside float range"),
+                std::string::npos);
+    }
+  }
+}
+
 TEST_F(ServerTest, IngestRoundTrip) {
   auto client = Client();
   auto response = client.Post("/v1/ingest", IngestBody("http-m1", 42));

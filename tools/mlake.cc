@@ -2,9 +2,11 @@
 //
 //   mlake --lake DIR [--threads N] [--cache-mb N] COMMAND [ARGS...]
 //
-// --threads N sizes the lake's shared thread pool (0 or 1 = serial,
-// the default; N>1 parallelizes ingest, index rebuild, fsck and
-// heritage recovery — results are identical at any thread count).
+// --threads N picks the lake's thread pool for ingest, index builds,
+// compaction, fsck and heritage recovery: unset uses the process-wide
+// pool (one worker per core, the lake default), 1 runs serially and
+// N > 1 gives the lake a private pool of N workers. Results are
+// identical at any thread count.
 // --cache-mb N budgets the storage caches: N MB for decoded artifacts
 // plus N/8 MB for embeddings (0 disables both; default 256). Caches
 // sit on the read path only, so results are identical at any budget.
@@ -78,6 +80,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -276,7 +279,11 @@ Result<std::unique_ptr<core::ModelLake>> OpenLake(const std::string& root,
   core::LakeOptions options;
   options.root = root;
   options.replication_log = replication_log;
-  if (threads > 1) options.exec = ExecutionContext::WithThreads(threads);
+  if (threads == 1) {
+    options.exec = ExecutionContext::Serial();
+  } else if (threads > 1) {
+    options.exec = ExecutionContext::WithThreads(threads);
+  }
   if (cache_mb >= 0) {
     options.artifact_cache_bytes = static_cast<size_t>(cache_mb) << 20;
     options.embedding_cache_bytes = (static_cast<size_t>(cache_mb) << 20) / 8;
@@ -762,16 +769,24 @@ int CmdRoute(const std::vector<std::string>& args) {
   return st.ok() ? 0 : Fail(st);
 }
 
+/// Upper bound of --threads (a typo must not spawn a million threads).
+constexpr int kMaxThreads = 1024;
+
 int Run(int argc, char** argv) {
   std::string lake_dir;
-  int threads = 0;
+  int threads = 0;     // 0 = unset: the lake's default pool.
   int cache_mb = -1;  // -1 = keep LakeOptions defaults.
   std::vector<std::string> rest;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--lake") == 0 && i + 1 < argc) {
       lake_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      std::optional<uint64_t> n = ParseUint(argv[++i]);
+      if (!n || *n < 1 || *n > kMaxThreads) {
+        std::fprintf(stderr, "mlake: --threads takes 1..%d\n", kMaxThreads);
+        return 2;
+      }
+      threads = static_cast<int>(*n);
     } else if (std::strcmp(argv[i], "--cache-mb") == 0 && i + 1 < argc) {
       cache_mb = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else {
