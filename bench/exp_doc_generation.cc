@@ -104,8 +104,8 @@ int main() {
       break;
     }
   }
-  Json cite1 = bench::Unwrap(lake->Cite(subject), "Cite");
-  Json cite2 = bench::Unwrap(lake->Cite(subject), "Cite");
+  Json cite1 = bench::Unwrap(lake->CitationDoc(subject), "CitationDoc");
+  Json cite2 = bench::Unwrap(lake->CitationDoc(subject), "CitationDoc");
   std::printf("same graph  -> identical citation: %s\n",
               cite1 == cite2 ? "yes" : "NO (BUG)");
   uint64_t rev_before = static_cast<uint64_t>(
@@ -116,7 +116,7 @@ int main() {
   edge.child = subject + "-hypothetical-child";
   edge.type = versioning::EdgeType::kFinetune;
   bench::Check(lake->RecordEdge(edge), "RecordEdge");
-  Json cite3 = bench::Unwrap(lake->Cite(subject), "Cite");
+  Json cite3 = bench::Unwrap(lake->CitationDoc(subject), "CitationDoc");
   std::printf("graph edit  -> revision bumped:    %s (%llu -> %llu)\n",
               cite3.GetInt64("graph_revision") >
                       static_cast<int64_t>(rev_before)

@@ -136,7 +136,7 @@ void RunPipeline(int threads, StageTimes* times, Fingerprint* print) {
   sw.Restart();
   (void)bench::Unwrap(lake->GenerateCard(some_model), "GenerateCard");
   (void)bench::Unwrap(lake->AuditModel(some_model), "AuditModel");
-  (void)bench::Unwrap(lake->Cite(some_model), "Cite");
+  (void)bench::Unwrap(lake->CitationDoc(some_model), "CitationDoc");
   times->card_ms = sw.ElapsedMillis();
   sw.Restart();
   auto recovered = bench::Unwrap(lake->RecoverHeritage(), "RecoverHeritage");

@@ -225,7 +225,7 @@ int Main(int argc, char** argv) {
   const core::ModelLake& lake_ref = *lake;
   entries.Append(DocEntry("citation_doc", ids, doc_calls,
                           [&](const std::string& id) {
-                            return governance::CitationDoc(lake_ref, id);
+                            return lake_ref.CitationDoc(id);
                           }));
   entries.Append(DocEntry("generated_doc", ids, doc_calls,
                           [&](const std::string& id) {

@@ -3,21 +3,7 @@
 // Builds a 10k-model streaming lake (metadata-only models via
 // GenerateStreamingLake, indexes compacted once up front) and drives an
 // in-process LakeServer closed-loop from 1 / 4 / 16 concurrent HTTP
-// clients on loopback, in two phases:
-//
-//   phase 1 (solo)     batching disabled. Re-measures the historical
-//                      entries (keyword saturated/interactive, ann,
-//                      model_get) so the series stays comparable, and
-//                      records a per-body response oracle.
-//   phase 2 (batched)  batching enabled (window + max_batch below) on
-//                      the same lake. Measures the batched ann and
-//                      keyword saturated paths at c1 and c16, then
-//                      replays the oracle bodies and verifies every
-//                      response is byte-identical to phase 1 — the
-//                      batcher must never change an answer, only its
-//                      timing.
-//
-// Within each phase the modes are the classic pair:
+// clients on loopback, in the classic pair of modes:
 //
 //   saturated    zero think time — every client re-issues the next
 //                request the moment the previous answer lands.
@@ -26,12 +12,8 @@
 //                until the server saturates).
 //
 // Emits BENCH_server.json (shared JsonBench schema). derived carries
-// search_qps_scaling_16v1 (interactive, phase 1) and
-// search_qps_scaling_16v1_saturated, which is now the batched-ann
-// c16-vs-c1 ratio: at c1 every request pays the full batch window
-// alone, at c16 the window amortizes over a full batch probed through
-// one SearchBatch call, so the ratio measures what server-side
-// coalescing buys on a saturated single query stream.
+// search_qps_scaling_16v1 (interactive keyword) and
+// search_qps_scaling_16v1_saturated (saturated ann, c16 vs c1).
 //
 // Usage: micro_server [--quick] [--out PATH]
 //   --quick  CI-sized run (smaller lake, shorter measurement windows)
@@ -41,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,7 +50,7 @@ std::unique_ptr<core::ModelLake> BuildLake(const std::string& root,
   options.probe_count = 8;
   options.exec = ExecutionContext::WithThreads(
       std::max(2u, std::thread::hardware_concurrency()));
-  // Both phases must see the same index generation; a background fold
+  // Every entry must see the same index generation; a background fold
   // mid-measurement would also invalidate the plan cache under load.
   options.background_compaction = false;
   auto lake = Unwrap(core::ModelLake::Open(options), "ModelLake::Open");
@@ -197,11 +178,9 @@ int Main(int argc, char** argv) {
       quick ? std::chrono::milliseconds(900) : std::chrono::milliseconds(2500);
   const auto think = std::chrono::milliseconds(4);
   const int levels[] = {1, 4, 16};
-  constexpr int64_t kBatchWindowUs = 600;
-  constexpr int kMaxBatch = 16;
 
-  // Query mix. Ann ids are spread across the streamed population so a
-  // batch is not 16 copies of one probe; keyword queries hit the
+  // Query mix. Ann ids are spread across the streamed population so the
+  // clients do not all probe one model; keyword queries hit the
   // generated card vocabulary.
   std::vector<std::string> ids = lake->ListModels();
   Check(ids.empty() ? Status::Internal("empty lake") : Status::OK(),
@@ -222,37 +201,16 @@ int Main(int argc, char** argv) {
 
   Json entries = Json::MakeArray();
   double keyword_qps_interactive[3] = {};
-  double ann_batched_c1 = 0.0;
-  double ann_batched_c16 = 0.0;
-
-  // Oracle bodies replayed in both phases; the batcher must not change
-  // a single byte of any answer.
-  std::vector<std::string> oracle_bodies = ann_bodies;
-  oracle_bodies.insert(oracle_bodies.end(), keyword_bodies.begin(),
-                       keyword_bodies.end());
-  std::map<std::string, std::string> oracle;
-
-  // ---- phase 1: batching disabled --------------------------------------
+  double ann_c1 = 0.0;
+  double ann_c16 = 0.0;
   {
     server::ServerOptions options;
     options.threads = 18;  // >= the largest client count (thread-per-conn)
     options.max_inflight = 64;
-    options.enable_batching = false;
     server::LakeServer server(lake.get(), options);
-    Check(server.Start(), "LakeServer::Start (solo)");
+    Check(server.Start(), "LakeServer::Start");
 
-    {
-      server::HttpClient probe("127.0.0.1", server.port());
-      for (const std::string& body : oracle_bodies) {
-        auto response = Unwrap(probe.Post("/v1/search", body), "oracle probe");
-        Check(response.status == 200 ? Status::OK()
-                                     : Status::Internal("oracle probe failed"),
-              "oracle probe status");
-        oracle[body] = response.body;
-      }
-    }
-
-    std::printf("\nphase 1: solo, saturated (zero think time):\n");
+    std::printf("\nsaturated (zero think time):\n");
     for (int level = 0; level < 3; ++level) {
       LoadResult r =
           RunLoad(server.port(), levels[level], window, Clock::duration::zero(),
@@ -264,11 +222,13 @@ int Main(int argc, char** argv) {
     {
       LoadResult r = RunLoad(server.port(), 1, window, Clock::duration::zero(),
                              "/v1/search", ann_bodies);
+      ann_c1 = r.Qps();
       entries.Append(EntryJson("search_ann_solo_saturated_c1", 1, r));
     }
     {
       LoadResult r = RunLoad(server.port(), 16, window, Clock::duration::zero(),
                              "/v1/search", ann_bodies);
+      ann_c16 = r.Qps();
       entries.Append(EntryJson("search_ann_saturated_c16", 16, r));
     }
     {
@@ -277,7 +237,7 @@ int Main(int argc, char** argv) {
       entries.Append(EntryJson("model_get_saturated_c16", 16, r));
     }
 
-    std::printf("\nphase 1: solo, interactive (4 ms think time):\n");
+    std::printf("\ninteractive (4 ms think time):\n");
     for (int level = 0; level < 3; ++level) {
       LoadResult r = RunLoad(server.port(), levels[level], window, think,
                              "/v1/search", keyword_bodies);
@@ -287,68 +247,8 @@ int Main(int argc, char** argv) {
           levels[level], r));
     }
 
-    Check(server.Stop(), "LakeServer::Stop (solo)");
+    Check(server.Stop(), "LakeServer::Stop");
   }
-
-  // ---- phase 2: batching enabled ---------------------------------------
-  bool batched_identical = true;
-  {
-    server::ServerOptions options;
-    options.threads = 18;
-    options.max_inflight = 64;
-    options.enable_batching = true;
-    options.batch_window_us = kBatchWindowUs;
-    options.max_batch = kMaxBatch;
-    server::LakeServer server(lake.get(), options);
-    Check(server.Start(), "LakeServer::Start (batched)");
-
-    std::printf("\nphase 2: batched (window %lld us, max batch %d):\n",
-                static_cast<long long>(kBatchWindowUs), kMaxBatch);
-    {
-      LoadResult r = RunLoad(server.port(), 1, window, Clock::duration::zero(),
-                             "/v1/search", ann_bodies);
-      ann_batched_c1 = r.Qps();
-      entries.Append(EntryJson("search_ann_batched_saturated_c1", 1, r));
-    }
-    {
-      LoadResult r = RunLoad(server.port(), 16, window, Clock::duration::zero(),
-                             "/v1/search", ann_bodies);
-      ann_batched_c16 = r.Qps();
-      entries.Append(EntryJson("search_ann_batched_saturated_c16", 16, r));
-    }
-    {
-      LoadResult r = RunLoad(server.port(), 1, window, Clock::duration::zero(),
-                             "/v1/search", keyword_bodies);
-      entries.Append(EntryJson("search_keyword_batched_saturated_c1", 1, r));
-    }
-    {
-      LoadResult r = RunLoad(server.port(), 16, window, Clock::duration::zero(),
-                             "/v1/search", keyword_bodies);
-      entries.Append(EntryJson("search_keyword_batched_saturated_c16", 16, r));
-    }
-
-    // Identity replay: every oracle body answered through the batcher
-    // must match the solo response byte for byte.
-    {
-      server::HttpClient probe("127.0.0.1", server.port());
-      for (const std::string& body : oracle_bodies) {
-        auto response = Unwrap(probe.Post("/v1/search", body), "replay probe");
-        if (response.status != 200 || response.body != oracle.at(body)) {
-          batched_identical = false;
-          std::fprintf(stderr, "IDENTITY MISMATCH for body: %s\n",
-                       body.c_str());
-        }
-      }
-    }
-    std::printf("  batched responses identical to solo: %s\n",
-                batched_identical ? "yes" : "NO");
-
-    Check(server.Stop(), "LakeServer::Stop (batched)");
-  }
-  Check(batched_identical
-            ? Status::OK()
-            : Status::Internal("batched responses diverged from solo"),
-        "identity replay");
 
   Json report = Json::MakeObject();
   report.Set("suite", "server");
@@ -356,6 +256,7 @@ int Main(int argc, char** argv) {
   Json meta = Json::MakeObject();
   meta.Set("cores",
            static_cast<int64_t>(std::thread::hardware_concurrency()));
+  meta.Set("build_type", MLAKE_BUILD_TYPE);
   meta.Set("server_threads", static_cast<int64_t>(18));
   meta.Set("max_inflight", static_cast<int64_t>(64));
   meta.Set("think_ms", 4);
@@ -365,15 +266,10 @@ int Main(int argc, char** argv) {
                                 .count()));
   meta.Set("models", num_models);
   meta.Set("quick", quick);
-  meta.Set("batch_window_us", kBatchWindowUs);
-  meta.Set("max_batch", static_cast<int64_t>(kMaxBatch));
-  meta.Set("batched_identical", batched_identical);
   meta.Set("scaling_note",
            "search_qps_scaling_16v1 is measured in the interactive mode "
            "(fixed 4 ms think time). search_qps_scaling_16v1_saturated is "
-           "the batched-ann saturated ratio: at c1 each request pays the "
-           "full batch window alone, at c16 the window amortizes over a "
-           "full batch answered by one SearchBatch probe.");
+           "the saturated ann ratio, c16 vs c1.");
   report.Set("meta", std::move(meta));
   report.Set("entries", std::move(entries));
 
@@ -387,7 +283,7 @@ int Main(int argc, char** argv) {
                   ? keyword_qps_interactive[1] / keyword_qps_interactive[0]
                   : 0.0);
   derived.Set("search_qps_scaling_16v1_saturated",
-              ann_batched_c1 > 0 ? ann_batched_c16 / ann_batched_c1 : 0.0);
+              ann_c1 > 0 ? ann_c16 / ann_c1 : 0.0);
   report.Set("derived", std::move(derived));
 
   Check(mlake::WriteFile(out, report.Dump(2) + "\n"), "WriteFile");
@@ -395,7 +291,7 @@ int Main(int argc, char** argv) {
   std::printf("search_qps_scaling_16v1 (interactive): %.2fx\n",
               report.Find("derived")
                   ->GetDouble("search_qps_scaling_16v1"));
-  std::printf("search_qps_scaling_16v1_saturated (batched ann): %.2fx\n",
+  std::printf("search_qps_scaling_16v1_saturated (ann): %.2fx\n",
               report.Find("derived")
                   ->GetDouble("search_qps_scaling_16v1_saturated"));
   return 0;

@@ -121,7 +121,7 @@ Status Run(const std::string& root) {
 
   // 8. Citation pinned to the version-graph revision.
   MLAKE_ASSIGN_OR_RETURN(mlake::Json citation,
-                         lake->Cite("acme/medical-summarizer"));
+                         lake->CitationDoc("acme/medical-summarizer"));
   std::printf("\ncitation: %s\n", citation.GetString("text").c_str());
   return Status::OK();
 }

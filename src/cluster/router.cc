@@ -1,16 +1,9 @@
 #include "cluster/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <map>
+#include <climits>
+#include <functional>
+#include <set>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -18,39 +11,41 @@
 #include "common/string_util.h"
 #include "search/executor.h"
 #include "search/parser.h"
+#include "server/server.h"
 
 namespace mlake::cluster {
 
 namespace {
 
 using server::ErrorResponse;
-using server::HttpRequest;
 using server::HttpResponse;
 using server::JsonResponse;
-using server::SetNoDelay;
-using server::WriteAll;
+using server::RequestContext;
 
 using Clock = std::chrono::steady_clock;
 
-int64_t ElapsedMs(Clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                               since)
-      .count();
-}
-
-uint64_t ElapsedUs(Clock::time_point since) {
-  auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - since)
-                .count();
-  return us < 0 ? 0 : static_cast<uint64_t>(us);
-}
-
-/// Milliseconds left until `deadline` (0 when already past).
+/// Milliseconds left until `deadline` (0 when already past; huge for
+/// server::kNoDeadline).
 int64_t RemainingMs(Clock::time_point deadline) {
   auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
                                                                   Clock::now())
                 .count();
   return ms < 0 ? 0 : ms;
+}
+
+/// One backend attempt's transport budget: the remaining deadline plus
+/// slack, so a backend enforcing the forwarded deadline answers 504
+/// in-band instead of dying as an opaque socket timeout. Clamped into
+/// int range (a request without a deadline has ~forever left).
+int AttemptTimeoutMs(int64_t remaining_ms) {
+  return static_cast<int>(std::min<int64_t>(remaining_ms + 50, INT_MAX));
+}
+
+/// The X-Mlake-Deadline-Ms value forwarded to a backend: the remaining
+/// budget, or 0 (no header) when the request has no deadline.
+int64_t ForwardedDeadlineMs(Clock::time_point deadline) {
+  if (deadline == server::kNoDeadline) return 0;
+  return std::max<int64_t>(1, RemainingMs(deadline));
 }
 
 /// Reconstructs a Status from a backend error response so the router
@@ -135,11 +130,9 @@ Result<std::vector<MergedHit>> CollectHits(
   return hits;
 }
 
-/// Merges per-shard top-k lists: same comparator as the executor's
-/// final sort, truncated to k. Shards hold disjoint models, so no
-/// dedup is needed and each document's score is its exact global one.
-Result<Json> MergeModels(const std::vector<HttpResponse>& legs, size_t k) {
-  MLAKE_ASSIGN_OR_RETURN(std::vector<MergedHit> hits, CollectHits(legs));
+/// The "models" array of the best k hits: same comparator as the
+/// executor's final sort, truncated to k.
+Json TopKJson(std::vector<MergedHit> hits, size_t k) {
   std::sort(hits.begin(), hits.end(), ScoreDescIdAsc);
   if (hits.size() > k) hits.resize(k);
   Json arr = Json::MakeArray();
@@ -152,6 +145,13 @@ Result<Json> MergeModels(const std::vector<HttpResponse>& legs, size_t k) {
   return arr;
 }
 
+/// Merges per-shard top-k lists. Shards hold disjoint models, so no
+/// dedup is needed and each document's score is its exact global one.
+Result<Json> MergeModels(const std::vector<HttpResponse>& legs, size_t k) {
+  MLAKE_ASSIGN_OR_RETURN(std::vector<MergedHit> hits, CollectHits(legs));
+  return TopKJson(std::move(hits), k);
+}
+
 /// The server caps k at 10000, so that is the deepest global keyword
 /// ranking one scatter can assemble (documented limitation: hybrid RRF
 /// ranks are exact while every shard has <= 10000 scoring documents).
@@ -162,8 +162,18 @@ constexpr int64_t kMaxServerK = 10000;
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
       pool_(options_.max_idle_per_endpoint == 0 ? 1
-                                                : options_.max_idle_per_endpoint) {
-  if (options_.threads <= 0) options_.threads = 8;
+                                                : options_.max_idle_per_endpoint),
+      // No admission limits of its own: the backends enforce theirs.
+      frontend_({.bind_address = options_.bind_address,
+                 .port = options_.port,
+                 .threads = options_.threads,
+                 .max_requests_per_connection =
+                     options_.max_requests_per_connection,
+                 .keep_alive_timeout_ms = options_.keep_alive_timeout_ms,
+                 .default_deadline_ms = options_.default_deadline_ms,
+                 .drain_deadline_ms = options_.drain_deadline_ms,
+                 .max_body_bytes = options_.max_body_bytes},
+                Routes()) {
   if (options_.fanout_threads <= 0) {
     options_.fanout_threads =
         std::max<int>(8, 2 * static_cast<int>(options_.backends.size()));
@@ -214,55 +224,24 @@ Status Router::Start() {
     }
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status st = Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    Status st = Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-
-  draining_.store(false);
-  start_time_ = Clock::now();
-  worker_pool_ = std::make_unique<ThreadPool>(options_.threads);
   fanout_pool_ = std::make_unique<ThreadPool>(options_.fanout_threads);
 
-  // Synchronous first poll: Start() returns with a live map, so a
+  // Synchronous first poll: the front end starts with a live map, so a
   // request racing the first heartbeat tick never sees unknown health.
   PollBackendsOnce();
   {
     std::lock_guard<std::mutex> lock(map_mu_);
     PublishMapLocked();
   }
-
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  Status st = frontend_.Start();
+  if (!st.ok()) {
+    fanout_pool_.reset();
+    return st;
+  }
+  {
+    std::lock_guard<std::mutex> lock(hb_mu_);
+    hb_stop_ = false;
+  }
   heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
   started_.store(true);
   return Status::OK();
@@ -270,217 +249,42 @@ Status Router::Start() {
 
 Status Router::Stop() {
   if (!started_.load()) return Status::OK();
-  draining_.store(true);
-
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
+  // Drain first: in-flight scatters still need the fanout pool, and
+  // the heartbeat keeps the shard map current meanwhile.
+  Status st = frontend_.Stop();
   {
     std::lock_guard<std::mutex> lock(hb_mu_);
+    hb_stop_ = true;
     hb_cv_.notify_all();
   }
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
-
-  auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.drain_deadline_ms);
-  {
-    std::unique_lock<std::mutex> lock(conns_mu_);
-    drain_cv_.wait_until(lock, deadline,
-                         [this] { return active_conns_.load() == 0; });
-  }
-  if (active_conns_.load() != 0) ForceCloseConnections();
-  worker_pool_.reset();
   fanout_pool_.reset();
   started_.store(false);
-  return Status::OK();
+  return st;
 }
 
-void Router::AcceptLoop() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (draining_.load()) {
-      ::close(fd);
-      return;
-    }
-    SetNoDelay(fd);
-    RegisterConnection(fd);
-    active_conns_.fetch_add(1, std::memory_order_relaxed);
-    worker_pool_->Submit([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void Router::RegisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  open_conns_.insert(fd);
-}
-
-void Router::UnregisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  open_conns_.erase(fd);
-}
-
-void Router::ForceCloseConnections() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (int fd : open_conns_) ::shutdown(fd, SHUT_RDWR);
-}
-
-void Router::HandleConnection(int fd) {
-  std::string buf;
-  int served = 0;
-  auto entered = Clock::now();
-  for (;;) {
-    // ---- read one request (keep-alive loop) ----
-    HttpRequest request;
-    bool have_request = false;
-    bool malformed = false;
-    Status parse_error;
-    for (;;) {
-      if (!buf.empty()) {
-        auto parsed =
-            server::ParseHttpRequest(buf, options_.max_body_bytes, &request);
-        if (!parsed.ok()) {
-          parse_error = parsed.status();
-          malformed = true;
-          break;
-        }
-        size_t consumed = parsed.ValueUnsafe();
-        if (consumed > 0) {
-          buf.erase(0, consumed);
-          have_request = true;
-          break;
-        }
-      }
-      if (draining_.load() && buf.empty()) break;
-      pollfd pfd{fd, POLLIN, 0};
-      int ready = ::poll(&pfd, 1, 100);
-      if (ready < 0 && errno != EINTR) break;
-      if (ready == 0) {
-        if (ElapsedMs(entered) >=
-            static_cast<int64_t>(options_.keep_alive_timeout_ms)) {
-          break;
-        }
-        continue;
-      }
-      char chunk[16384];
-      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n == 0) break;
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        break;
-      }
-      buf.append(chunk, static_cast<size_t>(n));
-    }
-    if (malformed) {
-      HttpResponse response = ErrorResponse(parse_error);
-      WriteAll(fd, server::SerializeHttpResponse(response, false));
-      metrics_.Record("(malformed)", response.status, 0);
-      break;
-    }
-    if (!have_request) break;
-
-    auto arrival = Clock::now();
-    entered = arrival;  // keep-alive idle clock restarts per request
-    ++served;
-    std::string endpoint;
-    HttpResponse response = Dispatch(request, arrival, &endpoint);
-    bool keep_alive = request.KeepAlive() && !draining_.load() &&
-                      (options_.max_requests_per_connection <= 0 ||
-                       served < options_.max_requests_per_connection);
-    bool wrote =
-        WriteAll(fd, server::SerializeHttpResponse(response, keep_alive));
-    metrics_.Record(endpoint, response.status, ElapsedUs(arrival));
-    if (!wrote || !keep_alive) break;
-  }
-
-  UnregisterConnection(fd);
-  ::close(fd);
-  active_conns_.fetch_sub(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    drain_cv_.notify_all();
-  }
-}
-
-HttpResponse Router::Dispatch(const HttpRequest& request,
-                              Clock::time_point arrival,
-                              std::string* endpoint_label) {
-  const std::string& path = request.path;
-
-  // ---- deadline (same header contract as the backends) ----
-  int64_t deadline_ms = options_.default_deadline_ms;
-  std::string_view header = request.Header("x-mlake-deadline-ms");
-  if (!header.empty()) {
-    Result<int64_t> parsed = server::ParseDeadlineMs(header);
-    if (!parsed.ok()) {
-      *endpoint_label = "(malformed)";
-      return ErrorResponse(parsed.status());
-    }
-    deadline_ms = parsed.ValueUnsafe();
-  }
-  auto deadline = arrival + std::chrono::milliseconds(deadline_ms);
-
-  HttpResponse response;
-  if (request.method == "GET" && path == "/healthz") {
-    *endpoint_label = "GET /healthz";
-    return HandleHealthz();
-  } else if (request.method == "GET" && path == "/statsz") {
-    *endpoint_label = "GET /statsz";
-    return HandleStatsz();
-  } else if (request.method == "GET" && path == "/v1/models") {
-    *endpoint_label = "GET /v1/models";
-    response = HandleModelList(deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/") &&
-             EndsWith(path, "/citation")) {
-    // Governance reads: broadcast like any owner-answers read. The
-    // shard map ranks caught-up replicas ahead of their leader, and a
-    // stale replica's 503 is retryable — the leg fails over to the
-    // leader — so these prefer replicas without risking stale answers.
-    *endpoint_label = "GET /v1/models/{id}/citation";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/") &&
-             EndsWith(path, "/doc")) {
-    *endpoint_label = "GET /v1/models/{id}/doc";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/")) {
-    *endpoint_label = "GET /v1/models/{id}";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/audit/")) {
-    *endpoint_label = "GET /v1/audit/{id}";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && path == "/v1/export") {
-    *endpoint_label = "GET /v1/export";
-    response = HandleExport(deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/lineage/")) {
-    *endpoint_label = "GET /v1/lineage/{id}";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "GET" && StartsWith(path, "/v1/embedding/")) {
-    *endpoint_label = "GET /v1/embedding/{id}";
-    response = HandleBroadcastGet(path, deadline);
-  } else if (request.method == "POST" && path == "/v1/search") {
-    *endpoint_label = "POST /v1/search";
-    response = HandleSearch(request, endpoint_label, deadline);
-  } else if (request.method == "POST" && path == "/v1/ingest") {
-    *endpoint_label = "POST /v1/ingest";
-    response = HandleIngest(request, deadline);
-  } else {
-    *endpoint_label = "(unmatched)";
-    return ErrorResponse(
-        Status::NotFound(request.method + " " + path + " has no handler"));
-  }
-
-  // A late answer is a missed deadline, like on the backends.
-  if (response.status < 400 && Clock::now() >= deadline) {
-    return ErrorResponse(Status::DeadlineExceeded(
-        "deadline of " + std::to_string(deadline_ms) +
-        " ms expired during scatter"));
-  }
-  return response;
+std::vector<server::Route> Router::Routes() {
+  auto bind = [this](auto handler) { return std::bind_front(handler, this); };
+  // Reads broadcast: the owner answers, everyone else 404s. Governance
+  // reads (citation, doc, audit) take the same path: the shard map
+  // ranks caught-up replicas ahead of their leader, and a stale
+  // replica's 503 is retryable — the leg fails over to the leader — so
+  // these prefer replicas without risking stale answers.
+  return {
+      {"GET", "/healthz", bind(&Router::HandleHealthz), /*exempt=*/true},
+      {"GET", "/statsz",
+       [this](RequestContext&) { return JsonResponse(StatszJson()); }},
+      {"GET", "/v1/models", bind(&Router::HandleModelList)},
+      {"GET", "/v1/models/{id}/citation", bind(&Router::HandleBroadcast)},
+      {"GET", "/v1/models/{id}/doc", bind(&Router::HandleBroadcast)},
+      {"GET", "/v1/models/{id}", bind(&Router::HandleBroadcast)},
+      {"GET", "/v1/audit/{id}", bind(&Router::HandleBroadcast)},
+      {"GET", "/v1/export", bind(&Router::HandleExport)},
+      {"GET", "/v1/lineage/{id}", bind(&Router::HandleBroadcast)},
+      {"GET", "/v1/embedding/{id}", bind(&Router::HandleBroadcast)},
+      {"POST", "/v1/search", bind(&Router::HandleSearch)},
+      {"POST", "/v1/ingest", bind(&Router::HandleIngest)},
+  };
 }
 
 // ---------------------------------------------------------------------------
@@ -491,11 +295,12 @@ void Router::HeartbeatLoop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(hb_mu_);
-      hb_cv_.wait_for(lock,
-                      std::chrono::milliseconds(options_.heartbeat_interval_ms),
-                      [this] { return draining_.load(); });
+      if (hb_cv_.wait_for(
+              lock, std::chrono::milliseconds(options_.heartbeat_interval_ms),
+              [this] { return hb_stop_; })) {
+        return;
+      }
     }
-    if (draining_.load()) return;
     TickNow();
   }
 }
@@ -578,7 +383,10 @@ void Router::PublishMapLocked() {
 void Router::LaunchAttempt(const std::shared_ptr<LegCall>& call, int backend,
                            int attempt_index, const std::string& method,
                            const std::string& path, const std::string& body,
-                           int timeout_ms, int64_t deadline_ms) {
+                           Clock::time_point deadline) {
+  const int64_t deadline_ms = ForwardedDeadlineMs(deadline);
+  const int timeout_ms =
+      AttemptTimeoutMs(std::max<int64_t>(1, RemainingMs(deadline)));
   {
     std::lock_guard<std::mutex> lock(call->mu);
     call->launched++;
@@ -622,16 +430,9 @@ void Router::LaunchAttempt(const std::shared_ptr<LegCall>& call, int backend,
   });
 }
 
-Result<std::vector<server::HttpResponse>> Router::ScatterAll(
-    const std::string& method, const std::string& path,
-    const std::string& body, Clock::time_point deadline) {
-  std::vector<std::string> bodies(cluster_size_, body);
-  return Scatter(method, path, bodies, deadline);
-}
-
 Result<std::vector<server::HttpResponse>> Router::Scatter(
     const std::string& method, const std::string& path,
-    const std::vector<std::string>& bodies, Clock::time_point deadline) {
+    const std::string& body, Clock::time_point deadline) {
   std::shared_ptr<const ShardMap> map = CurrentMap();
   if (map == nullptr || map->cluster_size() != cluster_size_) {
     return Status::Unavailable("no shard map published yet");
@@ -662,7 +463,6 @@ Result<std::vector<server::HttpResponse>> Router::Scatter(
                                  " has no backend");
     }
     int primary = leg.replicas[0];
-    int64_t remaining = std::max<int64_t>(1, RemainingMs(deadline));
     // Hedge when the primary exceeds a multiple of its own advertised
     // p95 (floor for cold backends with no history yet).
     int64_t p95_ms =
@@ -678,11 +478,7 @@ Result<std::vector<server::HttpResponse>> Router::Scatter(
                        ? std::min(deadline, Clock::now() + std::chrono::milliseconds(
                                                 hedge_ms))
                        : deadline;
-    // Transport timeout: the remaining budget plus slack, so a backend
-    // that enforces the forwarded deadline answers 504 in-band instead
-    // of dying as an opaque socket timeout.
-    LaunchAttempt(leg.call, primary, 0, method, path, bodies[slot],
-                  static_cast<int>(remaining + 50), remaining);
+    LaunchAttempt(leg.call, primary, 0, method, path, body, deadline);
   }
 
   // Pass 1 — hedging: visit legs in hedge-deadline order. A leg whose
@@ -706,10 +502,9 @@ Result<std::vector<server::HttpResponse>> Router::Scatter(
         int backend = leg.replicas[leg.next_replica++];
         int attempt = leg.call->launched;
         failovers_.fetch_add(1, std::memory_order_relaxed);
-        int64_t remaining = std::max<int64_t>(1, RemainingMs(deadline));
         lock.unlock();
-        LaunchAttempt(leg.call, backend, attempt, method, path, bodies[slot],
-                      static_cast<int>(remaining + 50), remaining);
+        LaunchAttempt(leg.call, backend, attempt, method, path, body,
+                      deadline);
         lock.lock();
         continue;
       }
@@ -722,10 +517,9 @@ Result<std::vector<server::HttpResponse>> Router::Scatter(
       leg.hedged = true;
       leg.hedge_attempt = leg.call->launched;
       hedges_fired_.fetch_add(1, std::memory_order_relaxed);
-      int64_t remaining = std::max<int64_t>(1, RemainingMs(deadline));
       lock.unlock();
       LaunchAttempt(leg.call, backend, leg.hedge_attempt, method, path,
-                    bodies[slot], static_cast<int>(remaining + 50), remaining);
+                    body, deadline);
     }
   }
 
@@ -744,10 +538,9 @@ Result<std::vector<server::HttpResponse>> Router::Scatter(
           int backend = leg.replicas[leg.next_replica++];
           int attempt = leg.call->launched;
           failovers_.fetch_add(1, std::memory_order_relaxed);
-          int64_t remaining = std::max<int64_t>(1, RemainingMs(deadline));
           lock.unlock();
-          LaunchAttempt(leg.call, backend, attempt, method, path, bodies[slot],
-                        static_cast<int>(remaining + 50), remaining);
+          LaunchAttempt(leg.call, backend, attempt, method, path, body,
+                        deadline);
           lock.lock();
           continue;
         }
@@ -772,7 +565,7 @@ Result<std::vector<server::HttpResponse>> Router::Scatter(
 Result<server::HttpResponse> Router::BroadcastFirst(const std::string& path,
                                                     Clock::time_point deadline) {
   MLAKE_ASSIGN_OR_RETURN(std::vector<HttpResponse> legs,
-                         ScatterAll("GET", path, "", deadline));
+                         Scatter("GET", path, "", deadline));
   for (HttpResponse& leg : legs) {
     if (leg.status / 100 == 2) return std::move(leg);
   }
@@ -787,17 +580,15 @@ Result<server::HttpResponse> Router::BroadcastFirst(const std::string& path,
 // Handlers
 // ---------------------------------------------------------------------------
 
-HttpResponse Router::HandleHealthz() const {
+HttpResponse Router::HandleHealthz(RequestContext&) {
   Json body = Json::MakeObject();
-  bool draining = draining_.load();
+  bool draining = frontend_.draining();
   body.Set("status", draining ? "draining" : "ok");
   std::shared_ptr<const ShardMap> map = CurrentMap();
   body.Set("epoch", static_cast<int64_t>(map != nullptr ? map->epoch : 0));
   body.Set("cluster_size", static_cast<int64_t>(cluster_size_));
   return JsonResponse(std::move(body), draining ? 503 : 200);
 }
-
-HttpResponse Router::HandleStatsz() const { return JsonResponse(StatszJson()); }
 
 Json Router::StatszJson() const {
   Json out = Json::MakeObject();
@@ -841,19 +632,16 @@ Json Router::StatszJson() const {
   hedging.Set("failovers", failovers_.load(std::memory_order_relaxed));
   out.Set("hedging", std::move(hedging));
 
-  Json server_json = Json::MakeObject();
-  server_json.Set("uptime_ms", ElapsedMs(start_time_));
-  server_json.Set("threads", options_.threads);
+  Json server_json = frontend_.StatsJson();
   server_json.Set("fanout_threads", options_.fanout_threads);
-  server_json.Set("draining", draining_.load());
   out.Set("server", std::move(server_json));
 
-  out.Set("endpoints", metrics_.ToJson());
+  out.Set("endpoints", frontend_.metrics().ToJson());
   return out;
 }
 
-HttpResponse Router::HandleModelList(Clock::time_point deadline) {
-  auto legs = ScatterAll("GET", "/v1/models", "", deadline);
+HttpResponse Router::HandleModelList(RequestContext& ctx) {
+  auto legs = Scatter("GET", "/v1/models", "", ctx.deadline);
   if (!legs.ok()) return ErrorResponse(legs.status());
   HttpResponse relay;
   if (!AllOk(legs.ValueUnsafe(), &relay)) return relay;
@@ -879,15 +667,14 @@ HttpResponse Router::HandleModelList(Clock::time_point deadline) {
   return JsonResponse(std::move(body));
 }
 
-HttpResponse Router::HandleBroadcastGet(const std::string& path,
-                                        Clock::time_point deadline) {
-  auto result = BroadcastFirst(path, deadline);
+HttpResponse Router::HandleBroadcast(RequestContext& ctx) {
+  auto result = BroadcastFirst(ctx.request.path, ctx.deadline);
   if (!result.ok()) return ErrorResponse(result.status());
   return result.MoveValueUnsafe();
 }
 
-HttpResponse Router::HandleExport(Clock::time_point deadline) {
-  auto legs = ScatterAll("GET", "/v1/export", "", deadline);
+HttpResponse Router::HandleExport(RequestContext& ctx) {
+  auto legs = Scatter("GET", "/v1/export", "", ctx.deadline);
   if (!legs.ok()) return ErrorResponse(legs.status());
   HttpResponse relay;
   if (!AllOk(legs.ValueUnsafe(), &relay)) return relay;
@@ -965,10 +752,9 @@ HttpResponse Router::HandleExport(Clock::time_point deadline) {
   return out;
 }
 
-HttpResponse Router::HandleSearch(const HttpRequest& request,
-                                  std::string* endpoint_label,
-                                  Clock::time_point deadline) {
-  auto parsed = Json::Parse(request.body);
+HttpResponse Router::HandleSearch(RequestContext& ctx) {
+  const Clock::time_point deadline = ctx.deadline;
+  auto parsed = Json::Parse(ctx.request.body);
   if (!parsed.ok()) {
     return ErrorResponse(Status::InvalidArgument("malformed JSON body: " +
                                                  parsed.status().message()));
@@ -978,11 +764,7 @@ HttpResponse Router::HandleSearch(const HttpRequest& request,
     return ErrorResponse(Status::InvalidArgument("body must be an object"));
   }
   std::string type = body.GetString("type", "mlql");
-  if (endpoint_label != nullptr &&
-      (type == "mlql" || type == "ann" || type == "keyword" ||
-       type == "hybrid" || type == "ann_vec")) {
-    endpoint_label->append(":").append(type);
-  }
+  ctx.label = server::SearchEndpointLabel(type);
   int64_t k_raw = body.GetInt64("k", 5);
   if (k_raw <= 0 || k_raw > kMaxServerK) {
     return ErrorResponse(Status::InvalidArgument("k must be in [1, 10000]"));
@@ -1012,20 +794,8 @@ HttpResponse Router::HandleSearch(const HttpRequest& request,
       return ErrorResponse(Status::InvalidArgument(
           "hybrid search requires \"query\" and \"id\""));
     }
-    // Lower to the exact MLQL HybridSearch lowers to (quote doubling
-    // included) so the shard-side parts carry identical rank args.
-    auto escape = [](const std::string& s) {
-      std::string out;
-      for (char c : s) {
-        out.push_back(c);
-        if (c == '\'') out.push_back('\'');
-      }
-      return out;
-    };
-    std::string parts_query =
-        StrFormat("FIND MODELS RANK BY hybrid('%s', '%s') LIMIT %zu",
-                  escape(text).c_str(), escape(query_id).c_str(), k);
-    return SearchHybrid(text, query_id, k, "hybrid", parts_query, deadline);
+    return SearchHybrid(text, query_id, k, "hybrid",
+                        search::HybridSearchMlql(text, query_id, k), deadline);
   }
   return ErrorResponse(Status::InvalidArgument(
       "unknown search type \"" + type +
@@ -1083,7 +853,7 @@ HttpResponse Router::SearchMlql(const std::string& query,
   }
   if (has_overlay) leg_body.Set("overlay", std::move(overlay));
 
-  auto legs = ScatterAll("POST", "/v1/search", leg_body.Dump(), deadline);
+  auto legs = Scatter("POST", "/v1/search", leg_body.Dump(), deadline);
   if (!legs.ok()) return ErrorResponse(legs.status());
   HttpResponse relay;
   if (!AllOk(legs.ValueUnsafe(), &relay)) return relay;
@@ -1111,7 +881,7 @@ HttpResponse Router::SearchKeyword(const Json& body, size_t k,
   leg_body.Set("query", query);
   leg_body.Set("k", static_cast<int64_t>(k));
   leg_body.Set("stats", stats.MoveValueUnsafe());
-  auto legs = ScatterAll("POST", "/v1/search", leg_body.Dump(), deadline);
+  auto legs = Scatter("POST", "/v1/search", leg_body.Dump(), deadline);
   if (!legs.ok()) return ErrorResponse(legs.status());
   HttpResponse relay;
   if (!AllOk(legs.ValueUnsafe(), &relay)) return relay;
@@ -1149,7 +919,7 @@ HttpResponse Router::SearchAnn(const Json& body, size_t k,
   leg_body.Set("vec", std::move(vec_json));
   leg_body.Set("k", static_cast<int64_t>(k));
   if (!exclude_id.empty()) leg_body.Set("exclude_id", exclude_id);
-  auto legs = ScatterAll("POST", "/v1/search", leg_body.Dump(), deadline);
+  auto legs = Scatter("POST", "/v1/search", leg_body.Dump(), deadline);
   if (!legs.ok()) return ErrorResponse(legs.status());
   HttpResponse relay;
   if (!AllOk(legs.ValueUnsafe(), &relay)) return relay;
@@ -1184,7 +954,7 @@ HttpResponse Router::SearchHybrid(const std::string& text,
   kw_body.Set("query", text);
   kw_body.Set("k", kMaxServerK);
   kw_body.Set("stats", stats.MoveValueUnsafe());
-  auto kw_legs = ScatterAll("POST", "/v1/search", kw_body.Dump(), deadline);
+  auto kw_legs = Scatter("POST", "/v1/search", kw_body.Dump(), deadline);
   if (!kw_legs.ok()) return ErrorResponse(kw_legs.status());
   HttpResponse relay;
   if (!AllOk(kw_legs.ValueUnsafe(), &relay)) return relay;
@@ -1204,7 +974,7 @@ HttpResponse Router::SearchHybrid(const std::string& text,
   parts_body.Set("vec", FloatsToJson(query_vec.ValueUnsafe()));
   parts_body.Set("k", 1);  // unused by the handler; satisfies validation
   auto parts_legs =
-      ScatterAll("POST", "/v1/search", parts_body.Dump(), deadline);
+      Scatter("POST", "/v1/search", parts_body.Dump(), deadline);
   if (!parts_legs.ok()) return ErrorResponse(parts_legs.status());
   if (!AllOk(parts_legs.ValueUnsafe(), &relay)) return relay;
 
@@ -1255,16 +1025,6 @@ HttpResponse Router::SearchHybrid(const std::string& text,
     }
     fused.push_back(MergedHit{score, c.id});
   }
-  std::sort(fused.begin(), fused.end(), ScoreDescIdAsc);
-  if (fused.size() > k) fused.resize(k);
-
-  Json models = Json::MakeArray();
-  for (const MergedHit& h : fused) {
-    Json j = Json::MakeObject();
-    j.Set("id", h.id);
-    j.Set("score", h.score);
-    models.Append(std::move(j));
-  }
   Json out = Json::MakeObject();
   out.Set("type", type_label);
   if (std::string_view(type_label) == "mlql") {
@@ -1272,7 +1032,7 @@ HttpResponse Router::SearchHybrid(const std::string& text,
                               "merge top-%zu",
                               cluster_size_, k));
   }
-  out.Set("models", std::move(models));
+  out.Set("models", TopKJson(std::move(fused), k));
   return JsonResponse(std::move(out));
 }
 
@@ -1297,42 +1057,28 @@ Result<Json> Router::GlobalKeywordStats(const std::string& query,
   leg_body.Set("k", 1);  // unused by the handler; satisfies validation
   MLAKE_ASSIGN_OR_RETURN(
       std::vector<HttpResponse> legs,
-      ScatterAll("POST", "/v1/search", leg_body.Dump(), deadline));
+      Scatter("POST", "/v1/search", leg_body.Dump(), deadline));
   HttpResponse relay;
   if (!AllOk(legs, &relay)) return StatusFromResponse(relay);
 
   // Integer sums — exact regardless of shard count or order.
-  int64_t live_docs = 0;
-  int64_t total_tokens = 0;
-  std::map<std::string, int64_t> df;
+  index::Bm25Stats total;
   for (const HttpResponse& leg : legs) {
     MLAKE_ASSIGN_OR_RETURN(Json body, ParseJsonBody(leg));
     const Json* stats = body.Find("stats");
     if (stats == nullptr || !stats->is_object()) {
       return Status::Internal("keyword_stats response has no stats");
     }
-    live_docs += stats->GetInt64("live_docs");
-    total_tokens += stats->GetInt64("total_tokens");
-    const Json* df_json = stats->Find("df");
-    if (df_json != nullptr && df_json->is_object()) {
-      for (const auto& [term, count] : df_json->AsObject()) {
-        if (!count.is_number()) continue;
-        df[term] += count.AsInt64();
-      }
-    }
+    MLAKE_ASSIGN_OR_RETURN(index::Bm25Stats part,
+                           server::Bm25StatsFromJson(*stats));
+    total.Merge(part);
   }
-  Json out = Json::MakeObject();
-  out.Set("live_docs", live_docs);
-  out.Set("total_tokens", total_tokens);
-  Json df_out = Json::MakeObject();
-  for (const auto& [term, count] : df) df_out.Set(term, count);
-  out.Set("df", std::move(df_out));
-  return out;
+  return server::Bm25StatsToJson(total);
 }
 
-HttpResponse Router::HandleIngest(const HttpRequest& request,
-                                  Clock::time_point deadline) {
-  auto parsed = Json::Parse(request.body);
+HttpResponse Router::HandleIngest(RequestContext& ctx) {
+  const Clock::time_point deadline = ctx.deadline;
+  auto parsed = Json::Parse(ctx.request.body);
   if (!parsed.ok()) {
     return ErrorResponse(Status::InvalidArgument("malformed JSON body: " +
                                                  parsed.status().message()));
@@ -1390,12 +1136,14 @@ HttpResponse Router::HandleIngest(const HttpRequest& request,
     }
     const BackendSpec& spec =
         options_.backends[static_cast<size_t>(writers[attempt])];
+    std::vector<std::pair<std::string, std::string>> headers = {
+        {"X-Mlake-Idempotency-Key", digest}};
+    if (int64_t forward = ForwardedDeadlineMs(deadline); forward > 0) {
+      headers.emplace_back("X-Mlake-Deadline-Ms", std::to_string(forward));
+    }
     auto lease = pool_.Acquire(spec.host, spec.port);
-    auto result = lease->Post(
-        "/v1/ingest", request.body,
-        {{"X-Mlake-Deadline-Ms", std::to_string(remaining)},
-         {"X-Mlake-Idempotency-Key", digest}},
-        static_cast<int>(remaining + 50));
+    auto result = lease->Post("/v1/ingest", ctx.request.body, headers,
+                              AttemptTimeoutMs(remaining));
     if (result.ok()) {
       if (attempt > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
       return result.MoveValueUnsafe();

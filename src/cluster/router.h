@@ -29,7 +29,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "common/thread_pool.h"
 #include "search/ast.h"
 #include "server/client.h"
+#include "server/frontend.h"
 #include "server/http.h"
 #include "server/metrics.h"
 
@@ -63,7 +63,8 @@ struct RouterOptions {
   int heartbeat_misses_down = 2;
 
   /// Deadline applied when a request carries no X-Mlake-Deadline-Ms
-  /// header; every scatter leg inherits the remaining budget.
+  /// header; every scatter leg inherits the remaining budget. 0 = none
+  /// (legs then carry no deadline either).
   int default_deadline_ms = 30000;
 
   /// Hedged retries: a leg unanswered after
@@ -86,8 +87,9 @@ struct RouterOptions {
   size_t max_body_bytes = 64u << 20;
 };
 
-/// A running router. Start() launches the accept loop, worker pool,
-/// fanout pool and the heartbeat/epoch thread.
+/// A running router: the route table and scatter-gather handlers in
+/// front of the backends, served by an HttpFrontend. Start() launches
+/// the front end, the fanout pool and the heartbeat/epoch thread.
 class Router {
  public:
   explicit Router(RouterOptions options);
@@ -99,7 +101,8 @@ class Router {
   Status Start();
   Status Stop();
 
-  int port() const { return port_; }
+  int port() const { return frontend_.port(); }
+  bool draining() const { return frontend_.draining(); }
 
   const RouterOptions& options() const { return options_; }
 
@@ -115,7 +118,9 @@ class Router {
   uint64_t hedge_wins() const { return hedge_wins_.load(); }
   uint64_t failovers() const { return failovers_.load(); }
 
-  const server::MetricsRegistry& metrics() const { return metrics_; }
+  const server::MetricsRegistry& metrics() const {
+    return frontend_.metrics();
+  }
 
   /// The router's /statsz document.
   Json StatszJson() const;
@@ -158,15 +163,7 @@ class Router {
     int winner = -1;  // attempt index of the answering attempt
   };
 
-  // ---- transport (mirrors mlaked's loop, leaner) ----
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  server::HttpResponse Dispatch(const server::HttpRequest& request,
-                                Clock::time_point arrival,
-                                std::string* endpoint_label);
-  void RegisterConnection(int fd);
-  void UnregisterConnection(int fd);
-  void ForceCloseConnections();
+  std::vector<server::Route> Routes();
 
   // ---- heartbeat / epoch ----
   void HeartbeatLoop();
@@ -175,43 +172,37 @@ class Router {
 
   // ---- scatter-gather ----
   /// Launches attempt `attempt_index` of `leg` (replica
-  /// leg.replicas[attempt_index]) on the fanout pool.
+  /// leg.replicas[attempt_index]) on the fanout pool; it carries the
+  /// remaining budget of `deadline` (none for server::kNoDeadline).
   void LaunchAttempt(const std::shared_ptr<LegCall>& call, int backend,
                      int attempt_index, const std::string& method,
                      const std::string& path, const std::string& body,
-                     int timeout_ms, int64_t deadline_ms);
+                     Clock::time_point deadline);
   /// Runs one leg per slot carrying (method, path, body) and waits for
   /// all of them: launches primaries, monitors hedge deadlines, fails
   /// over on errors. Returns one response per slot or the first fatal
   /// status.
-  Result<std::vector<server::HttpResponse>> ScatterAll(
-      const std::string& method, const std::string& path,
-      const std::string& body, Clock::time_point deadline);
-  /// Scatter with per-slot bodies (used when legs differ, e.g. k).
   Result<std::vector<server::HttpResponse>> Scatter(
       const std::string& method, const std::string& path,
-      const std::vector<std::string>& bodies, Clock::time_point deadline);
+      const std::string& body, Clock::time_point deadline);
   /// Broadcast a GET and return the first 2xx (owner-answers pattern);
   /// the last non-2xx response when nobody owns it.
   Result<server::HttpResponse> BroadcastFirst(const std::string& path,
                                               Clock::time_point deadline);
 
-  // ---- handlers ----
-  server::HttpResponse HandleHealthz() const;
-  server::HttpResponse HandleStatsz() const;
-  server::HttpResponse HandleModelList(Clock::time_point deadline);
-  server::HttpResponse HandleBroadcastGet(const std::string& path,
-                                          Clock::time_point deadline);
+  // ---- route handlers, in table order ----
+  server::HttpResponse HandleHealthz(server::RequestContext& ctx);
+  server::HttpResponse HandleModelList(server::RequestContext& ctx);
+  /// Owner-answers read: broadcasts the GET, first 2xx wins.
+  server::HttpResponse HandleBroadcast(server::RequestContext& ctx);
   /// Merged /v1/export: scatters the per-shard NDJSON dumps and
   /// re-emits one lake-wide dump (models sorted by id, edges/datasets
   /// deduplicated, summed header counts). Buffered at the router — the
   /// O(1)-memory path is the per-shard endpoint (DESIGN.md §15).
-  server::HttpResponse HandleExport(Clock::time_point deadline);
-  server::HttpResponse HandleSearch(const server::HttpRequest& request,
-                                    std::string* endpoint_label,
-                                    Clock::time_point deadline);
-  server::HttpResponse HandleIngest(const server::HttpRequest& request,
-                                    Clock::time_point deadline);
+  server::HttpResponse HandleExport(server::RequestContext& ctx);
+  /// Points ctx.label at "POST /v1/search:<kind>" for known kinds.
+  server::HttpResponse HandleSearch(server::RequestContext& ctx);
+  server::HttpResponse HandleIngest(server::RequestContext& ctx);
 
   // search kinds (each returns the full response body)
   server::HttpResponse SearchAnn(const Json& body, size_t k,
@@ -237,7 +228,6 @@ class Router {
 
   RouterOptions options_;
   size_t cluster_size_ = 0;
-  server::MetricsRegistry metrics_;
   server::HttpClientPool pool_;
   std::vector<std::unique_ptr<BackendState>> backends_;
 
@@ -248,29 +238,22 @@ class Router {
   std::shared_ptr<const ShardMap> map_;
   uint64_t epoch_ = 0;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::thread accept_thread_;
   std::thread heartbeat_thread_;
-  std::unique_ptr<ThreadPool> worker_pool_;
   std::unique_ptr<ThreadPool> fanout_pool_;
 
   std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<int> active_conns_{0};
 
   std::atomic<uint64_t> hedges_fired_{0};
   std::atomic<uint64_t> hedge_wins_{0};
   std::atomic<uint64_t> failovers_{0};
 
-  std::mutex conns_mu_;
-  std::set<int> open_conns_;
-  std::condition_variable drain_cv_;
-
   std::mutex hb_mu_;  // wakes the heartbeat loop early on Stop
   std::condition_variable hb_cv_;
+  bool hb_stop_ = false;  // guarded by hb_mu_
 
-  Clock::time_point start_time_;
+  // Last member: destroyed (and so drained) before the state its
+  // handlers use.
+  server::HttpFrontend frontend_;
 };
 
 }  // namespace mlake::cluster

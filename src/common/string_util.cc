@@ -88,6 +88,14 @@ std::optional<uint64_t> ParseUint(std::string_view s) {
   return value;
 }
 
+std::optional<int> ParseBoundedInt(std::string_view s, int max) {
+  std::optional<uint64_t> value = ParseUint(s);
+  if (!value || max < 0 || *value > static_cast<uint64_t>(max)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*value);
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -1,6 +1,7 @@
 #ifndef MLAKE_COMMON_STRING_UTIL_H_
 #define MLAKE_COMMON_STRING_UTIL_H_
 
+#include <climits>
 #include <cstdarg>
 #include <cstdint>
 #include <optional>
@@ -35,6 +36,11 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// nothing else (no sign, no whitespace). nullopt on empty input, any
 /// other byte, or a value above 2^64 - 1.
 std::optional<uint64_t> ParseUint(std::string_view s);
+
+/// ParseUint narrowed to an int in [0, max]: nullopt on anything
+/// ParseUint rejects or a value above `max`. The checked parser behind
+/// integer command-line flags.
+std::optional<int> ParseBoundedInt(std::string_view s, int max = INT_MAX);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

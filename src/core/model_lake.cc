@@ -2102,74 +2102,13 @@ Result<std::vector<search::RankedModel>> ModelLake::RelatedModels(
   return RelatedModelsUnlocked(id, k);
 }
 
-std::vector<Result<std::vector<search::RankedModel>>>
-ModelLake::RelatedModelsBatch(const std::vector<std::string>& ids,
-                              size_t k) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<Result<std::vector<search::RankedModel>>> results;
-  results.reserve(ids.size());
-  // Resolve embeddings first; an unknown id fails only its own slot.
-  // Successful slots get a placeholder overwritten after the probe.
-  std::vector<std::vector<float>> queries;
-  std::vector<size_t> probe_slot;  // queries index -> results index
-  for (const std::string& id : ids) {
-    auto embedding = EmbeddingForUnlocked(id);
-    if (embedding.ok()) {
-      probe_slot.push_back(results.size());
-      queries.push_back(std::move(embedding.ValueUnsafe()));
-      results.emplace_back(std::vector<search::RankedModel>{});
-    } else {
-      results.emplace_back(embedding.status());
-    }
-  }
-  if (queries.empty()) return results;
-  // Same effective ef as the solo path: RelatedModelsUnlocked asks
-  // NearestModelsUnlocked for k+1, which over-fetches by degraded_.
-  auto batch = ann_->SearchBatch(queries, k + 1 + degraded_.size());
-  for (size_t q = 0; q < probe_slot.size(); ++q) {
-    if (!batch.ok()) {
-      results[probe_slot[q]] = batch.status();
-    } else {
-      results[probe_slot[q]] = RelatedFromNeighbors(
-          ids[probe_slot[q]],
-          MapNeighborsUnlocked(batch.ValueUnsafe()[q], k + 1), k);
-    }
-  }
-  return results;
-}
-
-std::vector<Result<std::vector<std::pair<std::string, double>>>>
-ModelLake::KeywordScoresBatch(const std::vector<std::string>& texts,
-                              size_t k) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<std::vector<index::TextHit>> batch =
-      bm25_.SearchBatch(texts, k + degraded_.size());
-  std::vector<Result<std::vector<std::pair<std::string, double>>>> results;
-  results.reserve(texts.size());
-  for (size_t i = 0; i < texts.size(); ++i) {
-    results.emplace_back(MapTextHitsUnlocked(batch[i], k));
-  }
-  return results;
-}
-
 Result<std::vector<search::RankedModel>> ModelLake::HybridSearch(
     const std::string& text, const std::string& query_model_id,
     size_t k) const {
-  // Escape single quotes for MLQL string literals. Query() takes the
-  // shared lock itself.
-  auto escape = [](const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      out.push_back(c);
-      if (c == '\'') out.push_back('\'');
-    }
-    return out;
-  };
+  // Query() takes the shared lock itself.
   MLAKE_ASSIGN_OR_RETURN(
       search::QueryResult result,
-      Query(StrFormat("FIND MODELS RANK BY hybrid('%s', '%s') LIMIT %zu",
-                      escape(text).c_str(), escape(query_model_id).c_str(),
-                      k)));
+      Query(search::HybridSearchMlql(text, query_model_id, k)));
   return result.models;
 }
 
@@ -2646,42 +2585,6 @@ Json ModelLake::CacheStatsJson() const {
   return out;
 }
 
-Result<Json> ModelLake::Cite(const std::string& id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!catalog_->Contains("model", id)) {
-    return Status::NotFound("model not in lake: " + id);
-  }
-  Json citation = Json::MakeObject();
-  citation.Set("model_id", id);
-  citation.Set("graph_revision", graph_.revision());
-
-  // Lineage path from the deepest root.
-  std::vector<std::string> path;
-  std::string current = id;
-  while (true) {
-    path.push_back(current);
-    std::vector<std::string> parents = graph_.Parents(current);
-    if (parents.empty()) break;
-    current = parents.front();  // deterministic: lexicographically first
-  }
-  std::reverse(path.begin(), path.end());
-  Json path_json = Json::MakeArray();
-  for (const std::string& p : path) path_json.Append(Json(p));
-  citation.Set("lineage_path", std::move(path_json));
-
-  auto card = CardForUnlocked(id);
-  std::string creator =
-      card.ok() ? card.ValueUnsafe().creator : std::string();
-  citation.Set(
-      "text",
-      StrFormat("%s%s. Model Lake catalog, version-graph revision %llu. "
-                "Lineage: %s.",
-                creator.empty() ? "" : (creator + ". ").c_str(), id.c_str(),
-                static_cast<unsigned long long>(graph_.revision()),
-                Join(path, " -> ").c_str()));
-  return citation;
-}
-
 // ------------------------------------------------------------- governance
 
 namespace {
@@ -2704,8 +2607,8 @@ Result<Json> ModelLake::CitationDoc(const std::string& id) const {
     return Status::NotFound("model not in lake: " + id);
   }
 
-  // Lineage path from the deepest root — the same deterministic walk
-  // Cite() takes (lexicographically-first parent at every hop).
+  // Lineage path from the deepest root: deterministic, taking the
+  // lexicographically-first parent at every hop.
   std::vector<std::string> path;
   std::string current = id;
   while (true) {

@@ -384,21 +384,6 @@ class ModelLake : public search::SearchContext {
   Result<std::vector<search::RankedModel>> RelatedModels(
       const std::string& id, size_t k) const;
 
-  /// Batched related-model search: one shared-lock acquisition and one
-  /// HnswIndex::SearchBatch probe for the whole batch. results[i] is
-  /// bit-identical to RelatedModels(ids[i], k); failures are per-slot
-  /// (an unknown id fails its own entry, never the batch). This is the
-  /// probe the server's SearchBatcher coalesces /v1/search requests
-  /// into, and the probe API a distributed router would reuse.
-  std::vector<Result<std::vector<search::RankedModel>>> RelatedModelsBatch(
-      const std::vector<std::string>& ids, size_t k) const;
-
-  /// Batched keyword search: results[i] is bit-identical to
-  /// KeywordScores(texts[i], k), computed under one shared lock with
-  /// one InvertedIndex::SearchBatch probe.
-  std::vector<Result<std::vector<std::pair<std::string, double>>>>
-  KeywordScoresBatch(const std::vector<std::string>& texts, size_t k) const;
-
   /// Hybrid search (§5 roadmap): reciprocal-rank fusion of BM25 keyword
   /// relevance and embedding similarity to `query_model_id`. Robust to
   /// card rot on one side and embedding blind spots on the other.
@@ -524,20 +509,17 @@ class ModelLake : public search::SearchContext {
   /// integrity and benchmark coverage.
   Result<Json> AuditModel(const std::string& id) const;
 
-  /// Citation (paper §6): a citation pinned to the current version-graph
-  /// revision; changes exactly when the graph changes.
-  Result<Json> Cite(const std::string& id) const;
-
   // ------------------------------------------------------- governance
   // (PR 10: online governance services; see DESIGN.md §15. The lake
   // contributes the shared-lock primitives, src/governance/ the HTTP
   // shaping.)
 
-  /// Citation document (governance layer): the §6 citation plus the
-  /// card's attribution fields, the full heritage chain with per-hop
-  /// edge types, the artifact digest, quarantine state, and a
-  /// BibTeX-ish text block. One shared-lock critical section, so every
-  /// field describes the same snapshot. NotFound when `id` is not in
+  /// Citation (paper §6), pinned to the current version-graph revision
+  /// (model_id, graph_revision, lineage_path, text — it changes exactly
+  /// when the graph does), plus the card's attribution fields, the full
+  /// heritage chain with per-hop edge types, the artifact digest,
+  /// quarantine state, and a BibTeX-ish text block. One shared-lock
+  /// critical section, so every field describes the same snapshot. NotFound when `id` is not in
   /// the lake; degraded models still cite (flagged).
   Result<Json> CitationDoc(const std::string& id) const;
 

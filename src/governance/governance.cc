@@ -42,10 +42,6 @@ int RetryAfterSeconds(uint64_t lag_entries, int batch_max,
   return static_cast<int>(seconds);
 }
 
-Result<Json> CitationDoc(const core::ModelLake& lake, const std::string& id) {
-  return lake.CitationDoc(id);
-}
-
 Result<Json> GeneratedDoc(const core::ModelLake& lake,
                           const std::string& id) {
   MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card, lake.GenerateCard(id));

@@ -62,12 +62,6 @@ std::string ExportEtag(uint64_t mutation_epoch, uint64_t index_generation);
 int RetryAfterSeconds(uint64_t lag_entries, int batch_max,
                       int poll_interval_ms);
 
-/// Citation document for one model (GET /v1/models/{id}/citation):
-/// ModelLake::CitationDoc verbatim — card attribution, heritage chain,
-/// artifact digest, citation text and BibTeX-ish block. NotFound when
-/// the model is absent; degraded models cite with degraded=true.
-Result<Json> CitationDoc(const core::ModelLake& lake, const std::string& id);
-
 /// Generated documentation for one model (GET /v1/models/{id}/doc):
 /// the synthesized card (GenerateCard — catalog metadata, graph
 /// lineage, probe-inferred task/datasets, benchmark metrics), the

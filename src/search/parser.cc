@@ -337,4 +337,18 @@ Result<ExprPtr> ParsePredicate(std::string_view text) {
   return parser.ParsePredicateOnly();
 }
 
+std::string HybridSearchMlql(std::string_view text,
+                             std::string_view query_model_id, size_t k) {
+  auto escape = [](std::string_view s) {
+    std::string out;
+    for (char c : s) {
+      out.push_back(c);
+      if (c == '\'') out.push_back('\'');
+    }
+    return out;
+  };
+  return StrFormat("FIND MODELS RANK BY hybrid('%s', '%s') LIMIT %zu",
+                   escape(text).c_str(), escape(query_model_id).c_str(), k);
+}
+
 }  // namespace mlake::search

@@ -34,6 +34,13 @@ Result<Query> ParseQuery(std::string_view text);
 /// Parses just a predicate expression (used by tests).
 Result<ExprPtr> ParsePredicate(std::string_view text);
 
+/// The MLQL a hybrid search lowers to: "FIND MODELS RANK BY
+/// hybrid('<text>', '<id>') LIMIT <k>", single quotes doubled. One
+/// lowering shared by the lake and the router, so a routed hybrid's
+/// shard-side parts carry byte-identical rank arguments.
+std::string HybridSearchMlql(std::string_view text,
+                             std::string_view query_model_id, size_t k);
+
 }  // namespace mlake::search
 
 #endif  // MLAKE_SEARCH_PARSER_H_

@@ -92,40 +92,6 @@ Json LatencyHistogram::ToJson() const {
   return out;
 }
 
-void SizeHistogram::Record(uint64_t size) {
-  size_t bucket = 0;
-  while (bucket < kSizeBucketCount - 1 && size > kSizeBucketBounds[bucket]) {
-    ++bucket;
-  }
-  ++buckets[bucket];
-  ++count;
-  sum += size;
-  max = std::max(max, size);
-}
-
-void SizeHistogram::Merge(const SizeHistogram& other) {
-  for (size_t i = 0; i < kSizeBucketCount; ++i) buckets[i] += other.buckets[i];
-  count += other.count;
-  sum += other.sum;
-  max = std::max(max, other.max);
-}
-
-Json SizeHistogram::ToJson() const {
-  Json buckets_json = Json::MakeObject();
-  for (size_t i = 0; i < kSizeBucketCount; ++i) {
-    std::string label = i == kSizeBucketCount - 1 ? ">" : "<=";
-    label += std::to_string(
-        kSizeBucketBounds[i == kSizeBucketCount - 1 ? i - 1 : i]);
-    buckets_json.Set(label, buckets[i]);
-  }
-  Json out = Json::MakeObject();
-  out.Set("count", count);
-  out.Set("mean", Mean());
-  out.Set("max", max);
-  out.Set("buckets", buckets_json);
-  return out;
-}
-
 void EndpointStats::Merge(const EndpointStats& other) {
   requests += other.requests;
   responses_2xx += other.responses_2xx;

@@ -52,30 +52,6 @@ struct LatencyHistogram {
   Json ToJson() const;
 };
 
-/// Upper bucket bounds for batch-size (occupancy) histograms; the last
-/// bucket is unbounded. Covers 1..64, the plausible coalescing range of
-/// the search batcher.
-inline constexpr uint64_t kSizeBucketBounds[] = {1,  2,  3,  4,  6,  8,
-                                                 12, 16, 24, 32, 48, 64};
-inline constexpr size_t kSizeBucketCount =
-    sizeof(kSizeBucketBounds) / sizeof(kSizeBucketBounds[0]) + 1;
-
-/// Fixed-bucket size histogram (batch occupancy, queue depths): exact
-/// counts for sizes 1..4, log-spaced above.
-struct SizeHistogram {
-  uint64_t buckets[kSizeBucketCount] = {};
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t max = 0;
-
-  void Record(uint64_t size);
-  void Merge(const SizeHistogram& other);
-  double Mean() const { return count == 0 ? 0.0 : double(sum) / count; }
-
-  /// {"count", "mean", "max", "buckets": {"<=1": n, ..., ">64": n}}.
-  Json ToJson() const;
-};
-
 /// Counters of one endpoint (e.g. "POST /v1/search").
 struct EndpointStats {
   uint64_t requests = 0;

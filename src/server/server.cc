@@ -1,15 +1,11 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
+#include <thread>
 
 #include "common/hash.h"
 #include "common/sharding.h"
@@ -22,43 +18,19 @@ namespace mlake::server {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-int64_t ElapsedMs(Clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                               since)
-      .count();
-}
-
-uint64_t ElapsedUs(Clock::time_point since) {
-  auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - since)
-                .count();
-  return us < 0 ? 0 : static_cast<uint64_t>(us);
-}
-
 /// True once the connection cannot produce a response anymore: the peer
-/// closed, or ForceCloseConnections() shut the socket down at the drain
-/// deadline. A pipelined next request (recv > 0) is not death.
+/// closed, or the front end shut the socket down at the drain deadline.
+/// A pipelined next request (recv > 0) is not death.
 bool SocketDead(int fd) {
   char probe;
   ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
   return n == 0;
 }
 
-Json RankedModelsJson(const std::vector<search::RankedModel>& models) {
-  Json arr = Json::MakeArray();
-  for (const auto& m : models) {
-    Json j = Json::MakeObject();
-    j.Set("id", m.id);
-    j.Set("score", m.score);
-    arr.Append(std::move(j));
-  }
-  return arr;
-}
-
-template <typename Score>
-Json ScoredPairsJson(const std::vector<std::pair<std::string, Score>>& hits) {
+/// [{"id", "score"}, ...] of ranked hits: search::RankedModel or
+/// (id, score) pairs.
+template <typename Hits>
+Json HitsJson(const Hits& hits) {
   Json arr = Json::MakeArray();
   for (const auto& [id, score] : hits) {
     Json j = Json::MakeObject();
@@ -75,9 +47,9 @@ Status BodyError(const Status& status, const char* what) {
   return Status::InvalidArgument(std::string(what) + ": " + status.message());
 }
 
-/// Parses the wire form of Bm25Stats ({"live_docs": n, "total_tokens":
-/// n, "df": {"term": n, ...}}). Integer-valued throughout, so summed
-/// router-side stats arrive bit-exact.
+
+}  // namespace
+
 Result<index::Bm25Stats> Bm25StatsFromJson(const Json& j) {
   if (!j.is_object()) {
     return Status::InvalidArgument("stats must be an object");
@@ -107,468 +79,88 @@ Json Bm25StatsToJson(const index::Bm25Stats& stats) {
   return out;
 }
 
-}  // namespace
+std::string_view SearchEndpointLabel(std::string_view type) {
+  static constexpr std::string_view kLabels[] = {
+      "POST /v1/search:mlql",          "POST /v1/search:ann",
+      "POST /v1/search:keyword",       "POST /v1/search:hybrid",
+      "POST /v1/search:ann_vec",       "POST /v1/search:keyword_stats",
+      "POST /v1/search:hybrid_parts"};
+  constexpr size_t kPrefix = std::string_view("POST /v1/search:").size();
+  for (std::string_view label : kLabels) {
+    if (label.substr(kPrefix) == type) return label;
+  }
+  return "POST /v1/search";
+}
 
 LakeServer::LakeServer(core::ModelLake* lake, ServerOptions options)
-    : lake_(lake), options_(std::move(options)) {
-  if (options_.threads <= 0) options_.threads = 8;
-  if (options_.max_inflight <= 0) options_.max_inflight = 1;
-  if (options_.max_queue < 0) options_.max_queue = 0;
-  // CI hook: force batching on with a chosen window so the TSan job
-  // exercises the coalescing path deterministically.
-  if (const char* forced = std::getenv("MLAKE_TEST_BATCH_WINDOW_US")) {
-    char* end = nullptr;
-    long v = std::strtol(forced, &end, 10);
-    if (end != nullptr && *end == '\0' && v > 0) {
-      options_.enable_batching = true;
-      options_.batch_window_us = v;
-    }
+    : lake_(lake),
+      options_(std::move(options)),
+      frontend_({.bind_address = options_.bind_address,
+                 .port = options_.port,
+                 .threads = options_.threads,
+                 .max_inflight = options_.max_inflight,
+                 .max_queue = options_.max_queue,
+                 .max_requests_per_connection =
+                     options_.max_requests_per_connection,
+                 .keep_alive_timeout_ms = options_.keep_alive_timeout_ms,
+                 .default_deadline_ms = options_.default_deadline_ms,
+                 .drain_deadline_ms = options_.drain_deadline_ms,
+                 .max_body_bytes = options_.max_body_bytes},
+                Routes()) {}
+
+std::vector<Route> LakeServer::Routes() {
+  auto bind = [this](auto handler) { return std::bind_front(handler, this); };
+  std::vector<Route> routes = {
+      {"GET", "/healthz", bind(&LakeServer::HandleHealthz), /*exempt=*/true},
+      {"GET", "/v1/heartbeat", bind(&LakeServer::HandleHeartbeat),
+       /*exempt=*/true},
+      {"GET", "/v1/embedding/{id}", bind(&LakeServer::HandleEmbedding)},
+      {"GET", "/statsz",
+       [this](RequestContext&) { return JsonResponse(StatszJson()); }},
+      {"GET", "/v1/models", bind(&LakeServer::HandleModelList)},
+      {"GET", "/v1/models/{id}/citation", bind(&LakeServer::HandleCitation)},
+      {"GET", "/v1/models/{id}/doc", bind(&LakeServer::HandleModelDoc)},
+      {"GET", "/v1/models/{id}", bind(&LakeServer::HandleModelGet)},
+      {"GET", "/v1/audit/{id}", bind(&LakeServer::HandleAudit)},
+      {"GET", "/v1/export", bind(&LakeServer::HandleExport)},
+      {"GET", "/v1/lineage/{id}", bind(&LakeServer::HandleLineage)},
+      {"POST", "/v1/search", bind(&LakeServer::HandleSearch)},
+      {"POST", "/v1/ingest", bind(&LakeServer::HandleIngest)},
+      {"GET", "/v1/replication/log", bind(&LakeServer::HandleReplicationLog)},
+      {"GET", "/v1/replication/blob/{digest}",
+       bind(&LakeServer::HandleReplicationBlob)},
+      {"GET", "/v1/replication/fingerprint",
+       bind(&LakeServer::HandleReplicationFingerprint)},
+      {"GET", "/v1/replication/seed",
+       bind(&LakeServer::HandleReplicationSeed)},
+      {"POST", "/v1/replication/ship",
+       bind(&LakeServer::HandleReplicationShip)},
+      {"POST", "/v1/replication/promote",
+       bind(&LakeServer::HandleReplicationPromote)},
+  };
+  if (options_.enable_debug_endpoints) {
+    routes.push_back(
+        {"GET", "/debug/sleep", bind(&LakeServer::HandleDebugSleep)});
   }
-  if (options_.batch_window_us < 0) options_.batch_window_us = 0;
-  if (options_.max_batch <= 0) options_.max_batch = 1;
-  if (options_.enable_batching) {
-    BatcherOptions bopts;
-    bopts.batch_window_us = options_.batch_window_us;
-    bopts.max_batch = static_cast<size_t>(options_.max_batch);
-    batcher_ = std::make_unique<SearchBatcher>(lake_, bopts);
-  }
+  return routes;
 }
 
-LakeServer::~LakeServer() { (void)Stop(); }
-
-Status LakeServer::Start() {
-  if (started_.load()) return Status::FailedPrecondition("already started");
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status st = Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    Status st = Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-
-  draining_.store(false);
-  start_time_ = Clock::now();
-  pool_ = std::make_unique<ThreadPool>(options_.threads);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  started_.store(true);
-  return Status::OK();
-}
-
-Status LakeServer::Stop() {
-  if (!started_.load()) return Status::OK();
-  draining_.store(true);
-
-  // Wake the accept thread out of accept() (shutdown, then close after
-  // the join — closing a blocking-accept fd does not reliably wake it).
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  // Drain: workers notice draining_ within one poll tick (idle
-  // connections close; busy ones finish their in-flight request, send
-  // Connection: close, and exit).
-  auto deadline = Clock::now() +
-                  std::chrono::milliseconds(options_.drain_deadline_ms);
-  {
-    std::unique_lock<std::mutex> lock(conns_mu_);
-    drain_cv_.wait_until(lock, deadline, [this] {
-      return active_conns_.load() == 0 && queued_conns_.load() == 0;
-    });
-  }
-  if (active_conns_.load() != 0) {
-    // Drain deadline expired: sever the remaining connections. Their
-    // handlers observe the dead socket and unwind.
-    ForceCloseConnections();
-  }
-  // Joins workers; still-queued connection tasks run first, see
-  // draining_ and answer 503 immediately.
-  pool_.reset();
-  started_.store(false);
-  return Status::OK();
-}
-
-void LakeServer::AcceptLoop() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (Stop) or fatal accept error
-    }
-    if (draining_.load()) {
-      ::close(fd);
-      return;
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    SetNoDelay(fd);
-
-    // Queue-depth admission: connections beyond what the pool will pick
-    // up soon are turned away right here with the overload answer.
-    if (queued_conns_.load(std::memory_order_relaxed) >= options_.max_queue) {
-      rejected_queue_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse response = ErrorResponse(
-          Status::ResourceExhausted("server overloaded: connection queue full"));
-      WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
-      ::close(fd);
-      metrics_.Record("(admission)", response.status, 0);
-      continue;
-    }
-
-    queued_conns_.fetch_add(1, std::memory_order_relaxed);
-    RegisterConnection(fd);
-    pool_->Submit([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void LakeServer::RegisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  open_conns_.insert(fd);
-}
-
-void LakeServer::UnregisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  open_conns_.erase(fd);
-}
-
-void LakeServer::ForceCloseConnections() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (int fd : open_conns_) ::shutdown(fd, SHUT_RDWR);
-}
-
-LakeServer::ReadOutcome LakeServer::ReadRequest(int fd, std::string* buf,
-                                                HttpRequest* request,
-                                                Status* parse_error) {
-  auto entered = Clock::now();
-  for (;;) {
-    if (!buf->empty()) {
-      auto parsed = ParseHttpRequest(*buf, options_.max_body_bytes, request);
-      if (!parsed.ok()) {
-        *parse_error = parsed.status();
-        return ReadOutcome::kMalformed;
-      }
-      size_t consumed = parsed.ValueUnsafe();
-      if (consumed > 0) {
-        buf->erase(0, consumed);
-        return ReadOutcome::kRequest;
-      }
-    }
-
-    pollfd pfd{fd, POLLIN, 0};
-    if (draining_.load() && buf->empty()) {
-      // Grace probe: bytes may already sit in the kernel buffer — a
-      // request we committed to by accepting it. Only close when the
-      // connection is genuinely quiet.
-      int ready = ::poll(&pfd, 1, 0);
-      if (ready <= 0) return ReadOutcome::kDrainingIdle;
-    } else {
-      int ready = ::poll(&pfd, 1, 100);
-      if (ready < 0 && errno != EINTR) return ReadOutcome::kClosed;
-      if (ready == 0) {
-        if (ElapsedMs(entered) >=
-            static_cast<int64_t>(options_.keep_alive_timeout_ms)) {
-          return ReadOutcome::kIdleTimeout;
-        }
-        continue;
-      }
-    }
-
-    char chunk[16384];
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) return ReadOutcome::kClosed;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ReadOutcome::kClosed;
-    }
-    buf->append(chunk, static_cast<size_t>(n));
-  }
-}
-
-void LakeServer::HandleConnection(int fd) {
-  queued_conns_.fetch_sub(1, std::memory_order_relaxed);
-  active_conns_.fetch_add(1, std::memory_order_relaxed);
-
-  std::string buf;
-  int served = 0;
-  if (draining_.load()) {
-    // Accepted before the drain began but never picked up: refuse
-    // cleanly instead of silently dropping the connection.
-    HttpResponse response =
-        ErrorResponse(Status::Unavailable("server shutting down"));
-    WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
-  } else {
-    for (;;) {
-      HttpRequest request;
-      Status parse_error;
-      ReadOutcome outcome = ReadRequest(fd, &buf, &request, &parse_error);
-      if (outcome == ReadOutcome::kMalformed) {
-        HttpResponse response = ErrorResponse(parse_error);
-        WriteAll(fd, SerializeHttpResponse(response, /*keep_alive=*/false));
-        metrics_.Record("(malformed)", response.status, 0);
-        break;
-      }
-      if (outcome != ReadOutcome::kRequest) break;
-
-      auto arrival = Clock::now();
-      ++served;
-      std::string endpoint;
-      HttpResponse response = Dispatch(request, arrival, &endpoint, fd);
-      bool keep_alive = request.KeepAlive() && !draining_.load() &&
-                        (options_.max_requests_per_connection <= 0 ||
-                         served < options_.max_requests_per_connection);
-      bool wrote =
-          WriteAll(fd, SerializeHttpResponse(response, keep_alive));
-      if (wrote && response.is_streaming()) {
-        // Chunked body: pump the streamer until it runs dry, then the
-        // zero-chunk terminator. A mid-stream write failure means the
-        // peer is gone — the framing is now broken, so just close.
-        std::string chunk;
-        while (wrote && response.streamer(&chunk)) {
-          wrote = WriteAll(fd, SerializeChunk(chunk));
-          chunk.clear();
-        }
-        if (wrote) wrote = WriteAll(fd, std::string(FinalChunk()));
-        // Drop the streamer eagerly: it owns a shared lock on the lake
-        // snapshot, which should not outlive the response.
-        response.streamer = nullptr;
-      }
-      metrics_.Record(endpoint, response.status, ElapsedUs(arrival));
-      if (!wrote || !keep_alive) break;
-    }
-  }
-
-  UnregisterConnection(fd);
-  ::close(fd);
-  active_conns_.fetch_sub(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    drain_cv_.notify_all();
-  }
-}
-
-HttpResponse LakeServer::Dispatch(const HttpRequest& request,
-                                  Clock::time_point arrival,
-                                  std::string* endpoint_label, int fd) {
-  // ---- route ----------------------------------------------------------
-  const std::string& path = request.path;
-  std::string id;
-  enum class Route {
-    kHealthz, kHeartbeat, kStatsz, kModelList, kModelGet, kLineage,
-    kEmbedding, kSearch, kIngest, kCitation, kModelDoc, kAudit, kExport,
-    kReplLog, kReplBlob, kReplFingerprint, kReplSeed, kReplShip,
-    kReplPromote, kDebugSleep, kUnmatched
-  } route = Route::kUnmatched;
-  if (request.method == "GET" && path == "/healthz") {
-    route = Route::kHealthz;
-    *endpoint_label = "GET /healthz";
-  } else if (request.method == "GET" && path == "/v1/heartbeat") {
-    route = Route::kHeartbeat;
-    *endpoint_label = "GET /v1/heartbeat";
-  } else if (request.method == "GET" && StartsWith(path, "/v1/embedding/")) {
-    route = Route::kEmbedding;
-    *endpoint_label = "GET /v1/embedding/{id}";
-    id = path.substr(std::strlen("/v1/embedding/"));
-  } else if (request.method == "GET" && path == "/statsz") {
-    route = Route::kStatsz;
-    *endpoint_label = "GET /statsz";
-  } else if (request.method == "GET" && path == "/v1/models") {
-    route = Route::kModelList;
-    *endpoint_label = "GET /v1/models";
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/") &&
-             EndsWith(path, "/citation") &&
-             path.size() >
-                 std::strlen("/v1/models/") + std::strlen("/citation")) {
-    // Suffix routes must match before the bare model get below.
-    route = Route::kCitation;
-    *endpoint_label = "GET /v1/models/{id}/citation";
-    id = path.substr(std::strlen("/v1/models/"),
-                     path.size() - std::strlen("/v1/models/") -
-                         std::strlen("/citation"));
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/") &&
-             EndsWith(path, "/doc") &&
-             path.size() > std::strlen("/v1/models/") + std::strlen("/doc")) {
-    route = Route::kModelDoc;
-    *endpoint_label = "GET /v1/models/{id}/doc";
-    id = path.substr(
-        std::strlen("/v1/models/"),
-        path.size() - std::strlen("/v1/models/") - std::strlen("/doc"));
-  } else if (request.method == "GET" && StartsWith(path, "/v1/models/")) {
-    route = Route::kModelGet;
-    *endpoint_label = "GET /v1/models/{id}";
-    id = path.substr(std::strlen("/v1/models/"));
-  } else if (request.method == "GET" && StartsWith(path, "/v1/audit/")) {
-    route = Route::kAudit;
-    *endpoint_label = "GET /v1/audit/{id}";
-    id = path.substr(std::strlen("/v1/audit/"));
-  } else if (request.method == "GET" && path == "/v1/export") {
-    route = Route::kExport;
-    *endpoint_label = "GET /v1/export";
-  } else if (request.method == "GET" && StartsWith(path, "/v1/lineage/")) {
-    route = Route::kLineage;
-    *endpoint_label = "GET /v1/lineage/{id}";
-    id = path.substr(std::strlen("/v1/lineage/"));
-  } else if (request.method == "POST" && path == "/v1/search") {
-    route = Route::kSearch;
-    *endpoint_label = "POST /v1/search";
-  } else if (request.method == "POST" && path == "/v1/ingest") {
-    route = Route::kIngest;
-    *endpoint_label = "POST /v1/ingest";
-  } else if (request.method == "GET" && path == "/v1/replication/log") {
-    route = Route::kReplLog;
-    *endpoint_label = "GET /v1/replication/log";
-  } else if (request.method == "GET" &&
-             StartsWith(path, "/v1/replication/blob/")) {
-    route = Route::kReplBlob;
-    *endpoint_label = "GET /v1/replication/blob/{digest}";
-    id = path.substr(std::strlen("/v1/replication/blob/"));
-  } else if (request.method == "GET" &&
-             path == "/v1/replication/fingerprint") {
-    route = Route::kReplFingerprint;
-    *endpoint_label = "GET /v1/replication/fingerprint";
-  } else if (request.method == "GET" && path == "/v1/replication/seed") {
-    route = Route::kReplSeed;
-    *endpoint_label = "GET /v1/replication/seed";
-  } else if (request.method == "POST" && path == "/v1/replication/ship") {
-    route = Route::kReplShip;
-    *endpoint_label = "POST /v1/replication/ship";
-  } else if (request.method == "POST" &&
-             path == "/v1/replication/promote") {
-    route = Route::kReplPromote;
-    *endpoint_label = "POST /v1/replication/promote";
-  } else if (options_.enable_debug_endpoints && request.method == "GET" &&
-             path == "/debug/sleep") {
-    route = Route::kDebugSleep;
-    *endpoint_label = "GET /debug/sleep";
-  } else {
-    *endpoint_label = "(unmatched)";
-    return ErrorResponse(
-        Status::NotFound(request.method + " " + path + " has no handler"));
-  }
-
-  // ---- health + heartbeat are exempt from admission and deadlines -----
-  // (the router must be able to read a saturated backend's load; a 429
-  // heartbeat would blind the rebalancer exactly when it matters).
-  if (route == Route::kHealthz) return HandleHealthz();
-  if (route == Route::kHeartbeat) return HandleHeartbeat();
-
-  // ---- admission ------------------------------------------------------
-  int inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (inflight > options_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    rejected_inflight_.fetch_add(1, std::memory_order_relaxed);
-    return ErrorResponse(Status::ResourceExhausted(
-        "server overloaded: " + std::to_string(inflight - 1) +
-        " requests in flight"));
-  }
-  struct InflightRelease {
-    std::atomic<int>* counter;
-    ~InflightRelease() { counter->fetch_sub(1, std::memory_order_relaxed); }
-  } release{&inflight_};
-
-  // ---- deadline -------------------------------------------------------
-  int64_t deadline_ms = options_.default_deadline_ms;
-  std::string_view header = request.Header("x-mlake-deadline-ms");
-  if (!header.empty()) {
-    Result<int64_t> parsed = ParseDeadlineMs(header);
-    if (!parsed.ok()) return ErrorResponse(parsed.status());
-    deadline_ms = parsed.ValueUnsafe();
-  }
-  bool has_deadline = deadline_ms > 0;
-  auto deadline = arrival + std::chrono::milliseconds(deadline_ms);
-  if (has_deadline && Clock::now() >= deadline) {
-    return ErrorResponse(Status::DeadlineExceeded(
-        "deadline of " + std::to_string(deadline_ms) +
-        " ms expired before execution"));
-  }
-
-  // ---- handler --------------------------------------------------------
-  HttpResponse response;
-  switch (route) {
-    case Route::kStatsz: response = HandleStatsz(); break;
-    case Route::kModelList: response = HandleModelList(); break;
-    case Route::kModelGet: response = HandleModelGet(id); break;
-    case Route::kLineage: response = HandleLineage(id); break;
-    case Route::kEmbedding: response = HandleEmbedding(id); break;
-    case Route::kSearch:
-      response = HandleSearch(request, endpoint_label);
-      break;
-    case Route::kIngest: response = HandleIngest(request); break;
-    case Route::kCitation: response = HandleCitation(request, id); break;
-    case Route::kModelDoc: response = HandleModelDoc(id); break;
-    case Route::kAudit: response = HandleAudit(id); break;
-    case Route::kExport: response = HandleExport(request); break;
-    case Route::kReplLog: response = HandleReplicationLog(request); break;
-    case Route::kReplBlob: response = HandleReplicationBlob(id); break;
-    case Route::kReplFingerprint:
-      response = HandleReplicationFingerprint();
-      break;
-    case Route::kReplSeed: response = HandleReplicationSeed(); break;
-    case Route::kReplShip: response = HandleReplicationShip(request); break;
-    case Route::kReplPromote: response = HandleReplicationPromote(); break;
-    case Route::kDebugSleep:
-      response = HandleDebugSleep(request, deadline, has_deadline, fd);
-      break;
-    case Route::kHealthz:
-    case Route::kHeartbeat:
-    case Route::kUnmatched:
-      response = ErrorResponse(Status::Internal("unreachable route"));
-      break;
-  }
-
-  // The handler itself may have spent the deadline; a late answer is a
-  // missed deadline, not a success.
-  if (has_deadline && response.status < 400 && Clock::now() >= deadline) {
-    return ErrorResponse(Status::DeadlineExceeded(
-        "deadline of " + std::to_string(deadline_ms) +
-        " ms expired during execution"));
-  }
-  return response;
-}
-
-HttpResponse LakeServer::HandleHealthz() const {
+HttpResponse LakeServer::HandleHealthz(RequestContext&) const {
   Json body = Json::MakeObject();
-  bool draining = draining_.load();
+  bool draining = frontend_.draining();
   body.Set("status", draining ? "draining" : "ok");
   return JsonResponse(std::move(body), draining ? 503 : 200);
 }
 
-HttpResponse LakeServer::HandleHeartbeat() const {
+HttpResponse LakeServer::HandleHeartbeat(RequestContext&) const {
   Json body = Json::MakeObject();
   body.Set("shard_id", options_.shard_id);
   body.Set("cluster_size", options_.cluster_size);
   body.Set("models", lake_->NumModels());
   body.Set("index_generation",
            static_cast<int64_t>(lake_->IndexGeneration()));
-  body.Set("draining", draining_.load());
-  body.Set("inflight", inflight_.load());
+  body.Set("draining", frontend_.draining());
+  body.Set("inflight", frontend_.inflight());
   // Replication role, for the router's read routing and failover: a
   // "replica" serves reads (with a watermark), a "leader" also takes
   // writes, a "standalone" node predates replication and does both.
@@ -586,13 +178,15 @@ HttpResponse LakeServer::HandleHeartbeat() const {
   }
   // The search-family p95 (all "POST /v1/search:*" kinds merged) is
   // what the router's hedging policy keys its per-shard delay off.
-  EndpointStats search = metrics_.AggregateSnapshot("POST /v1/search");
+  EndpointStats search =
+      frontend_.metrics().AggregateSnapshot("POST /v1/search");
   body.Set("search_requests", search.requests);
   body.Set("search_p95_us", search.latency.PercentileUs(95));
   return JsonResponse(std::move(body));
 }
 
-HttpResponse LakeServer::HandleEmbedding(const std::string& id) const {
+HttpResponse LakeServer::HandleEmbedding(RequestContext& ctx) const {
+  const std::string id(ctx.id);
   auto vec = lake_->EmbeddingFor(id);
   if (!vec.ok()) return ErrorResponse(vec.status());
   Json arr = Json::MakeArray();
@@ -604,8 +198,6 @@ HttpResponse LakeServer::HandleEmbedding(const std::string& id) const {
   body.Set("embedding", std::move(arr));
   return JsonResponse(std::move(body));
 }
-
-HttpResponse LakeServer::HandleStatsz() const { return JsonResponse(StatszJson()); }
 
 Json LakeServer::StatszJson() const {
   Json out = Json::MakeObject();
@@ -623,26 +215,7 @@ Json LakeServer::StatszJson() const {
   out.Set("index", lake_->IndexStatsJson());
   out.Set("planner", lake_->PlannerStatsJson());
 
-  if (batcher_ != nullptr) {
-    out.Set("batching", batcher_->StatsJson());
-  } else {
-    Json batching = Json::MakeObject();
-    batching.Set("enabled", false);
-    out.Set("batching", std::move(batching));
-  }
-
-  Json server = Json::MakeObject();
-  server.Set("uptime_ms", ElapsedMs(start_time_));
-  server.Set("threads", options_.threads);
-  server.Set("draining", draining_.load());
-  server.Set("connections_accepted", connections_accepted_.load());
-  server.Set("inflight", inflight_.load());
-  server.Set("max_inflight", options_.max_inflight);
-  server.Set("queued_connections", queued_conns_.load());
-  server.Set("max_queue", options_.max_queue);
-  server.Set("rejected_inflight", rejected_inflight_.load());
-  server.Set("rejected_queue", rejected_queue_.load());
-  out.Set("server", std::move(server));
+  out.Set("server", frontend_.StatsJson());
 
   if (options_.replication != nullptr) {
     out.Set("replication", options_.replication->StatszJson());
@@ -656,11 +229,11 @@ Json LakeServer::StatszJson() const {
 
   out.Set("governance", governance_stats_.ToJson());
 
-  out.Set("endpoints", metrics_.ToJson());
+  out.Set("endpoints", frontend_.metrics().ToJson());
   return out;
 }
 
-HttpResponse LakeServer::HandleModelList() const {
+HttpResponse LakeServer::HandleModelList(RequestContext&) const {
   std::vector<std::string> ids = lake_->ListModels();
   Json arr = Json::MakeArray();
   for (const std::string& model_id : ids) {
@@ -677,7 +250,8 @@ HttpResponse LakeServer::HandleModelList() const {
   return JsonResponse(std::move(body));
 }
 
-HttpResponse LakeServer::HandleModelGet(const std::string& id) const {
+HttpResponse LakeServer::HandleModelGet(RequestContext& ctx) const {
+  const std::string id(ctx.id);
   auto card = lake_->CardFor(id);
   if (!card.ok()) return ErrorResponse(card.status());
   Json body = Json::MakeObject();
@@ -689,8 +263,8 @@ HttpResponse LakeServer::HandleModelGet(const std::string& id) const {
   return JsonResponse(std::move(body));
 }
 
-HttpResponse LakeServer::HandleLineage(const std::string& id) const {
-  auto lineage = lake_->Lineage(id);
+HttpResponse LakeServer::HandleLineage(RequestContext& ctx) const {
+  auto lineage = lake_->Lineage(std::string(ctx.id));
   if (!lineage.ok()) return ErrorResponse(lineage.status());
   return JsonResponse(lineage.MoveValueUnsafe());
 }
@@ -710,14 +284,13 @@ bool LakeServer::RejectStaleGovernanceRead(HttpResponse* response) const {
   return true;
 }
 
-HttpResponse LakeServer::HandleCitation(const HttpRequest& request,
-                                        const std::string& id) const {
+HttpResponse LakeServer::HandleCitation(RequestContext& ctx) const {
   HttpResponse stale;
   if (RejectStaleGovernanceRead(&stale)) return stale;
-  auto doc = governance::CitationDoc(*lake_, id);
+  auto doc = lake_->CitationDoc(std::string(ctx.id));
   if (!doc.ok()) return ErrorResponse(doc.status());
   governance_stats_.citations.fetch_add(1, std::memory_order_relaxed);
-  std::string format = request.QueryParam("format", "json");
+  std::string format = ctx.request.QueryParam("format", "json");
   if (format == "text" || format == "bibtex") {
     HttpResponse response;
     response.content_type = "text/plain; charset=utf-8";
@@ -732,25 +305,25 @@ HttpResponse LakeServer::HandleCitation(const HttpRequest& request,
   return JsonResponse(doc.MoveValueUnsafe());
 }
 
-HttpResponse LakeServer::HandleModelDoc(const std::string& id) const {
+HttpResponse LakeServer::HandleModelDoc(RequestContext& ctx) const {
   HttpResponse stale;
   if (RejectStaleGovernanceRead(&stale)) return stale;
-  auto doc = governance::GeneratedDoc(*lake_, id);
+  auto doc = governance::GeneratedDoc(*lake_, std::string(ctx.id));
   if (!doc.ok()) return ErrorResponse(doc.status());
   governance_stats_.docs.fetch_add(1, std::memory_order_relaxed);
   return JsonResponse(doc.MoveValueUnsafe());
 }
 
-HttpResponse LakeServer::HandleAudit(const std::string& id) const {
+HttpResponse LakeServer::HandleAudit(RequestContext& ctx) const {
   HttpResponse stale;
   if (RejectStaleGovernanceRead(&stale)) return stale;
-  auto doc = governance::AuditDoc(*lake_, id);
+  auto doc = governance::AuditDoc(*lake_, std::string(ctx.id));
   if (!doc.ok()) return ErrorResponse(doc.status());
   governance_stats_.audits.fetch_add(1, std::memory_order_relaxed);
   return JsonResponse(doc.MoveValueUnsafe());
 }
 
-HttpResponse LakeServer::HandleExport(const HttpRequest& request) const {
+HttpResponse LakeServer::HandleExport(RequestContext& ctx) const {
   HttpResponse stale;
   if (RejectStaleGovernanceRead(&stale)) return stale;
 
@@ -760,7 +333,7 @@ HttpResponse LakeServer::HandleExport(const HttpRequest& request) const {
   // its last pull.
   std::string current_etag =
       governance::ExportEtag(lake_->MutationEpoch(), lake_->IndexGeneration());
-  std::string_view if_none_match = request.Header("if-none-match");
+  std::string_view if_none_match = ctx.request.Header("if-none-match");
   if (!if_none_match.empty() && if_none_match == current_etag) {
     governance_stats_.export_not_modified.fetch_add(
         1, std::memory_order_relaxed);
@@ -789,8 +362,8 @@ HttpResponse LakeServer::HandleExport(const HttpRequest& request) const {
   return response;
 }
 
-HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
-                                      std::string* endpoint_label) const {
+HttpResponse LakeServer::HandleSearch(RequestContext& ctx) const {
+  const HttpRequest& request = ctx.request;
   // Test/bench seam: idle (non-CPU) delay modeling per-shard service
   // time, or slowing one shard so the router's hedge fires.
   if (options_.test_search_delay_us != nullptr) {
@@ -809,14 +382,7 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
     return ErrorResponse(Status::InvalidArgument("body must be an object"));
   }
   std::string type = body.GetString("type", "mlql");
-  if (endpoint_label != nullptr &&
-      (type == "mlql" || type == "ann" || type == "keyword" ||
-       type == "hybrid" || type == "ann_vec" || type == "keyword_stats" ||
-       type == "hybrid_parts")) {
-    // Per-kind latency split in /statsz ("POST /v1/search:ann", ...);
-    // unknown types stay under the bare route to bound cardinality.
-    endpoint_label->append(":").append(type);
-  }
+  ctx.label = SearchEndpointLabel(type);
   size_t k = static_cast<size_t>(body.GetInt64("k", 5));
   if (k == 0 || k > 10000) {
     return ErrorResponse(Status::InvalidArgument("k must be in [1, 10000]"));
@@ -869,17 +435,16 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
                               : lake_->Query(query);
     if (!result.ok()) return ErrorResponse(result.status());
     out.Set("plan", result.ValueUnsafe().plan);
-    out.Set("models", RankedModelsJson(result.ValueUnsafe().models));
+    out.Set("models", HitsJson(result.ValueUnsafe().models));
   } else if (type == "ann") {
     std::string query_id = body.GetString("id");
     if (query_id.empty()) {
       return ErrorResponse(
           Status::InvalidArgument("ann search requires \"id\""));
     }
-    auto result = batcher_ != nullptr ? batcher_->RelatedModels(query_id, k)
-                                      : lake_->RelatedModels(query_id, k);
+    auto result = lake_->RelatedModels(query_id, k);
     if (!result.ok()) return ErrorResponse(result.status());
-    out.Set("models", RankedModelsJson(result.ValueUnsafe()));
+    out.Set("models", HitsJson(result.ValueUnsafe()));
   } else if (type == "keyword") {
     std::string query = body.GetString("query");
     if (query.empty()) {
@@ -887,21 +452,19 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
           Status::InvalidArgument("keyword search requires \"query\""));
     }
     // Cluster-internal: with global "stats" attached, this shard's
-    // documents score exactly as they would in the merged corpus
-    // (bypasses the batcher — stats-carrying probes don't coalesce).
+    // documents score exactly as they would in the merged corpus.
     if (const Json* stats_json = body.Find("stats"); stats_json != nullptr) {
       auto stats = Bm25StatsFromJson(*stats_json);
       if (!stats.ok()) return ErrorResponse(stats.status());
       auto result =
           lake_->KeywordScoresWithStats(query, k, stats.ValueUnsafe());
       if (!result.ok()) return ErrorResponse(result.status());
-      out.Set("models", ScoredPairsJson(result.ValueUnsafe()));
+      out.Set("models", HitsJson(result.ValueUnsafe()));
       return JsonResponse(std::move(out));
     }
-    auto result = batcher_ != nullptr ? batcher_->KeywordScores(query, k)
-                                      : lake_->KeywordScores(query, k);
+    auto result = lake_->KeywordScores(query, k);
     if (!result.ok()) return ErrorResponse(result.status());
-    out.Set("models", ScoredPairsJson(result.ValueUnsafe()));
+    out.Set("models", HitsJson(result.ValueUnsafe()));
   } else if (type == "keyword_stats") {
     // Cluster-internal phase 1 of distributed BM25: this shard's
     // integer contribution to the query's corpus statistics.
@@ -924,7 +487,7 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
     auto result = lake_->RelatedModelsByVector(
         vec.ValueUnsafe(), k, body.GetString("exclude_id"));
     if (!result.ok()) return ErrorResponse(result.status());
-    out.Set("models", RankedModelsJson(result.ValueUnsafe()));
+    out.Set("models", HitsJson(result.ValueUnsafe()));
   } else if (type == "hybrid_parts") {
     // Cluster-internal: this shard's WHERE-filtered candidates with
     // their dot products against the query vector — the raw material
@@ -956,7 +519,7 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
     }
     auto result = lake_->HybridSearch(query, query_id, k);
     if (!result.ok()) return ErrorResponse(result.status());
-    out.Set("models", RankedModelsJson(result.ValueUnsafe()));
+    out.Set("models", HitsJson(result.ValueUnsafe()));
   } else {
     return ErrorResponse(Status::InvalidArgument(
         "unknown search type \"" + type +
@@ -966,7 +529,8 @@ HttpResponse LakeServer::HandleSearch(const HttpRequest& request,
   return JsonResponse(std::move(out));
 }
 
-HttpResponse LakeServer::HandleIngest(const HttpRequest& request) const {
+HttpResponse LakeServer::HandleIngest(RequestContext& ctx) const {
+  const HttpRequest& request = ctx.request;
   // A read replica's state is exactly the leader's log; a direct write
   // here would fork it. Promote the node first.
   if (options_.replication != nullptr && options_.replication->IsReplica()) {
@@ -1059,8 +623,8 @@ HttpResponse LakeServer::HandleIngest(const HttpRequest& request) const {
   return JsonResponse(std::move(out));
 }
 
-HttpResponse LakeServer::HandleReplicationLog(
-    const HttpRequest& request) const {
+HttpResponse LakeServer::HandleReplicationLog(RequestContext& ctx) const {
+  const HttpRequest& request = ctx.request;
   char* end = nullptr;
   uint64_t from = std::strtoull(request.QueryParam("from", "1").c_str(),
                                 &end, 10);
@@ -1073,8 +637,8 @@ HttpResponse LakeServer::HandleReplicationLog(
   return JsonResponse(out.MoveValueUnsafe());
 }
 
-HttpResponse LakeServer::HandleReplicationBlob(
-    const std::string& digest) const {
+HttpResponse LakeServer::HandleReplicationBlob(RequestContext& ctx) const {
+  const std::string digest(ctx.id);
   auto bytes = lake_->ReadBlob(digest);
   if (!bytes.ok()) return ErrorResponse(bytes.status());
   Json out = Json::MakeObject();
@@ -1083,7 +647,7 @@ HttpResponse LakeServer::HandleReplicationBlob(
   return JsonResponse(std::move(out));
 }
 
-HttpResponse LakeServer::HandleReplicationFingerprint() const {
+HttpResponse LakeServer::HandleReplicationFingerprint(RequestContext&) const {
   if (!lake_->ReplicationLogEnabled()) {
     return ErrorResponse(Status::FailedPrecondition(
         "replication log disabled on this lake"));
@@ -1097,7 +661,7 @@ HttpResponse LakeServer::HandleReplicationFingerprint() const {
   return JsonResponse(std::move(out));
 }
 
-HttpResponse LakeServer::HandleReplicationSeed() const {
+HttpResponse LakeServer::HandleReplicationSeed(RequestContext&) const {
   auto manifest = lake_->ReplicationSeedJson();
   if (!manifest.ok()) return ErrorResponse(manifest.status());
   // Framed in the PR-6 snapshot container (magic, CRC'd TOC), so the
@@ -1115,13 +679,12 @@ HttpResponse LakeServer::HandleReplicationSeed() const {
   return JsonResponse(std::move(out));
 }
 
-HttpResponse LakeServer::HandleReplicationShip(
-    const HttpRequest& request) const {
+HttpResponse LakeServer::HandleReplicationShip(RequestContext& ctx) const {
   if (options_.replication == nullptr) {
     return ErrorResponse(Status::FailedPrecondition(
         "not a replica: nothing accepts shipped log entries here"));
   }
-  auto parsed = Json::Parse(request.body);
+  auto parsed = Json::Parse(ctx.request.body);
   if (!parsed.ok()) {
     return ErrorResponse(BodyError(parsed.status(), "malformed JSON body"));
   }
@@ -1130,7 +693,7 @@ HttpResponse LakeServer::HandleReplicationShip(
   return JsonResponse(out.MoveValueUnsafe());
 }
 
-HttpResponse LakeServer::HandleReplicationPromote() const {
+HttpResponse LakeServer::HandleReplicationPromote(RequestContext&) const {
   if (options_.replication == nullptr) {
     return ErrorResponse(Status::FailedPrecondition(
         "not a replica: already " +
@@ -1146,21 +709,20 @@ HttpResponse LakeServer::HandleReplicationPromote() const {
   return JsonResponse(std::move(out));
 }
 
-HttpResponse LakeServer::HandleDebugSleep(const HttpRequest& request,
-                                          Clock::time_point deadline,
-                                          bool has_deadline, int fd) const {
-  long ms = std::strtol(request.QueryParam("ms", "100").c_str(), nullptr, 10);
+HttpResponse LakeServer::HandleDebugSleep(RequestContext& ctx) const {
+  long ms =
+      std::strtol(ctx.request.QueryParam("ms", "100").c_str(), nullptr, 10);
   if (ms < 0) ms = 0;
   if (ms > 10000) ms = 10000;
   auto wake = Clock::now() + std::chrono::milliseconds(ms);
   // Sliced sleep so an expired deadline — or a severed connection (the
   // drain deadline's force-close) — is noticed promptly mid-nap.
   while (Clock::now() < wake) {
-    if (has_deadline && Clock::now() >= deadline) {
+    if (ctx.has_deadline() && Clock::now() >= ctx.deadline) {
       return ErrorResponse(
           Status::DeadlineExceeded("deadline expired while sleeping"));
     }
-    if (SocketDead(fd)) {
+    if (SocketDead(ctx.fd)) {
       return ErrorResponse(Status::Unavailable("connection severed"));
     }
     auto next = std::min(wake, Clock::now() + std::chrono::milliseconds(5));

@@ -44,34 +44,21 @@
 //   POST /v1/replication/ship                leader-pushed log batch
 //   POST /v1/replication/promote             replica -> leader
 //
-// Threading model: one blocking accept thread plus a worker pool
-// (common/thread_pool) running thread-per-connection keep-alive loops.
-// The lake's shared_mutex contract does the rest: search/read handlers
-// run concurrently under the shared lock, ingest serializes under the
-// exclusive lock.
-//
-// Admission control bounds both queue depth (connections accepted but
-// not yet picked up by a worker) and in-flight requests (currently
-// executing handlers); overload is answered with 429 + Retry-After,
-// the HTTP face of Status::ResourceExhausted. Per-request deadlines
-// (X-Mlake-Deadline-Ms header, or ServerOptions.default_deadline_ms)
-// are enforced server-side before and after the lake call and map to
-// 504 / Status::DeadlineExceeded.
+// Transport is an HttpFrontend (server/frontend.h) driven by the route
+// table in LakeServer::Routes(); /healthz and /v1/heartbeat skip its
+// admission and deadlines. The lake's shared_mutex contract does the
+// rest: search/read handlers run concurrently under the shared lock,
+// ingest serializes under the exclusive lock.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/model_lake.h"
 #include "governance/governance.h"
-#include "server/batcher.h"
+#include "server/frontend.h"
 #include "server/http.h"
 #include "server/metrics.h"
 
@@ -147,14 +134,6 @@ struct ServerOptions {
   /// Enables GET /debug/sleep?ms=N (deterministic slow handler used by
   /// the shutdown/admission/deadline tests and nothing else).
   bool enable_debug_endpoints = false;
-  /// Coalesces compatible concurrent ann/keyword /v1/search probes
-  /// into one batched index probe (see server/batcher.h). Results are
-  /// bit-identical to solo execution; only scheduling changes. The env
-  /// var MLAKE_TEST_BATCH_WINDOW_US (set by the TSan CI job) overrides
-  /// the window and forces batching on.
-  bool enable_batching = true;
-  int64_t batch_window_us = 250;
-  int max_batch = 16;
   /// Cluster identity. shard_id >= 0 marks this backend as shard
   /// `shard_id` of a `cluster_size`-way digest-sharded lake:
   /// /v1/ingest rejects artifacts whose digest routes to another shard
@@ -176,121 +155,95 @@ struct ServerOptions {
   std::shared_ptr<std::atomic<int64_t>> test_search_delay_us;
 };
 
-/// A running lake server. The lake must outlive the server; the server
-/// only ever calls the lake's public (self-locking) API.
+/// The wire form of index::Bm25Stats ({"live_docs": n, "total_tokens":
+/// n, "df": {"term": n, ...}}), spoken by the keyword_stats scatter
+/// and the "stats" a routed keyword search carries. Integer-valued
+/// throughout, so stats summed across shards arrive bit-exact.
+Result<index::Bm25Stats> Bm25StatsFromJson(const Json& j);
+Json Bm25StatsToJson(const index::Bm25Stats& stats);
+
+/// The /statsz endpoint label of a search of kind `type`
+/// ("POST /v1/search:ann", ...), shared by mlaked and the router so the
+/// per-kind latency split reads the same on both. Unknown types stay
+/// under the bare route label to bound cardinality.
+std::string_view SearchEndpointLabel(std::string_view type);
+
+/// A running lake server: the route table and handlers in front of a
+/// ModelLake. The lake must outlive the server; the server only ever
+/// calls the lake's public (self-locking) API.
 class LakeServer {
  public:
   LakeServer(core::ModelLake* lake, ServerOptions options);
-  ~LakeServer();
 
   LakeServer(const LakeServer&) = delete;
   LakeServer& operator=(const LakeServer&) = delete;
 
   /// Binds, listens and starts the accept thread + worker pool.
-  Status Start();
+  Status Start() { return frontend_.Start(); }
 
   /// Graceful shutdown: stops accepting, lets in-flight requests finish
   /// (bounded by drain_deadline_ms, then force-closes), joins all
-  /// threads. Idempotent; also run by the destructor.
-  Status Stop();
+  /// threads. Idempotent; also run by the destructor (the front end is
+  /// the last member, so it drains before the state its handlers use
+  /// goes away).
+  Status Stop() { return frontend_.Stop(); }
 
   /// The bound port (the actual one when options.port was 0). Valid
   /// after Start().
-  int port() const { return port_; }
+  int port() const { return frontend_.port(); }
 
-  bool draining() const { return draining_.load(std::memory_order_relaxed); }
+  bool draining() const { return frontend_.draining(); }
 
   const ServerOptions& options() const { return options_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
+  const MetricsRegistry& metrics() const { return frontend_.metrics(); }
 
   /// The /statsz document (also printed by `mlake serve` on shutdown).
   Json StatszJson() const;
 
  private:
-  /// How one connection's read loop ended.
-  enum class ReadOutcome { kRequest, kClosed, kIdleTimeout, kDrainingIdle,
-                           kMalformed };
+  std::vector<Route> Routes();
 
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  ReadOutcome ReadRequest(int fd, std::string* buf, HttpRequest* request,
-                          Status* parse_error);
-  HttpResponse Dispatch(const HttpRequest& request,
-                        std::chrono::steady_clock::time_point arrival,
-                        std::string* endpoint_label, int fd);
-
-  HttpResponse HandleHealthz() const;
+  // Route handlers, in table order (/statsz is an inline lambda).
+  HttpResponse HandleHealthz(RequestContext& ctx) const;
   /// Cluster heartbeat: shard identity, model count, index generation,
   /// inflight/draining, and the search-family p95 the router's hedging
   /// policy keys off. Admission- and deadline-exempt like /healthz.
-  HttpResponse HandleHeartbeat() const;
-  HttpResponse HandleStatsz() const;
+  HttpResponse HandleHeartbeat(RequestContext& ctx) const;
   /// Raw embedding vector for one model (router-side ann resolve: the
   /// owning shard answers, every other shard 404s).
-  HttpResponse HandleEmbedding(const std::string& id) const;
-  HttpResponse HandleModelList() const;
-  HttpResponse HandleModelGet(const std::string& id) const;
-  HttpResponse HandleLineage(const std::string& id) const;
+  HttpResponse HandleEmbedding(RequestContext& ctx) const;
+  HttpResponse HandleModelList(RequestContext& ctx) const;
   // Governance handlers (DESIGN.md §15). Each begins with the replica
   // staleness guard below.
-  HttpResponse HandleCitation(const HttpRequest& request,
-                              const std::string& id) const;
-  HttpResponse HandleModelDoc(const std::string& id) const;
-  HttpResponse HandleAudit(const std::string& id) const;
-  HttpResponse HandleExport(const HttpRequest& request) const;
+  HttpResponse HandleCitation(RequestContext& ctx) const;
+  HttpResponse HandleModelDoc(RequestContext& ctx) const;
+  HttpResponse HandleModelGet(RequestContext& ctx) const;
+  HttpResponse HandleAudit(RequestContext& ctx) const;
+  HttpResponse HandleExport(RequestContext& ctx) const;
+  HttpResponse HandleLineage(RequestContext& ctx) const;
+  /// Points ctx.label at "POST /v1/search:<kind>" for known search
+  /// kinds so /statsz reports a per-kind latency split.
+  HttpResponse HandleSearch(RequestContext& ctx) const;
+  HttpResponse HandleIngest(RequestContext& ctx) const;
+  HttpResponse HandleReplicationLog(RequestContext& ctx) const;
+  HttpResponse HandleReplicationBlob(RequestContext& ctx) const;
+  HttpResponse HandleReplicationFingerprint(RequestContext& ctx) const;
+  HttpResponse HandleReplicationSeed(RequestContext& ctx) const;
+  HttpResponse HandleReplicationShip(RequestContext& ctx) const;
+  HttpResponse HandleReplicationPromote(RequestContext& ctx) const;
+  HttpResponse HandleDebugSleep(RequestContext& ctx) const;
+
   /// Governance reads must not silently serve stale data: on a replica
   /// whose watermark trails the leader, fills `*response` with 503 +
   /// Retry-After (derived from the lag) and returns true.
   bool RejectStaleGovernanceRead(HttpResponse* response) const;
-  /// Appends ":<kind>" to *endpoint_label for known search kinds so
-  /// /statsz reports a per-kind latency split under "endpoints".
-  HttpResponse HandleSearch(const HttpRequest& request,
-                            std::string* endpoint_label) const;
-  HttpResponse HandleIngest(const HttpRequest& request) const;
-  HttpResponse HandleReplicationLog(const HttpRequest& request) const;
-  HttpResponse HandleReplicationBlob(const std::string& digest) const;
-  HttpResponse HandleReplicationFingerprint() const;
-  HttpResponse HandleReplicationSeed() const;
-  HttpResponse HandleReplicationShip(const HttpRequest& request) const;
-  HttpResponse HandleReplicationPromote() const;
-  HttpResponse HandleDebugSleep(
-      const HttpRequest& request,
-      std::chrono::steady_clock::time_point deadline, bool has_deadline,
-      int fd) const;
-
-  void RegisterConnection(int fd);
-  void UnregisterConnection(int fd);
-  void ForceCloseConnections();
 
   core::ModelLake* lake_;
   ServerOptions options_;
-  MetricsRegistry metrics_;
   /// Governance counters (/statsz "governance"); mutable because const
   /// read handlers bump them.
   mutable governance::GovernanceStats governance_stats_;
-  /// Search coalescing (null when options_.enable_batching is false).
-  std::unique_ptr<SearchBatcher> batcher_;
-
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<int> queued_conns_{0};
-  std::atomic<int> inflight_{0};
-  std::atomic<int> active_conns_{0};
-  std::atomic<uint64_t> rejected_queue_{0};
-  std::atomic<uint64_t> rejected_inflight_{0};
-  std::atomic<uint64_t> connections_accepted_{0};
-
-  /// Open connection fds, for force-close at the drain deadline.
-  std::mutex conns_mu_;
-  std::set<int> open_conns_;
-  std::condition_variable drain_cv_;
-
-  std::chrono::steady_clock::time_point start_time_;
+  HttpFrontend frontend_;
 };
 
 }  // namespace mlake::server

@@ -213,6 +213,28 @@ TEST_F(ClusterTest, ModelListMergesAllShards) {
   ASSERT_TRUE(RemoveAll(dir).ok());
 }
 
+TEST_F(ClusterTest, DeadlineZeroMeansNoDeadline) {
+  // default_deadline_ms = 0 means "no deadline" on the router exactly
+  // as on mlaked: the request runs to completion and its scatter legs
+  // carry no deadline — not a zero budget that expires before the
+  // scatter starts.
+  std::string dir = MakeTempDir("mlake-cluster").ValueOrDie();
+  RouterOptions router_options;
+  router_options.default_deadline_ms = 0;
+  auto cluster = MakeCluster(dir, 2, 1, router_options);
+  server::HttpClient client("127.0.0.1", cluster->router_port());
+  auto list = client.Get("/v1/models");
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  EXPECT_EQ(list.ValueUnsafe().status, 200) << list.ValueUnsafe().body;
+  auto keyword = client.Post(
+      "/v1/search", R"({"type": "keyword", "query": "legal", "k": 3})");
+  ASSERT_TRUE(keyword.ok()) << keyword.status().ToString();
+  EXPECT_EQ(keyword.ValueUnsafe().status, 200) << keyword.ValueUnsafe().body;
+  ASSERT_TRUE(cluster->Stop().ok());
+  cluster.reset();
+  ASSERT_TRUE(RemoveAll(dir).ok());
+}
+
 TEST_F(ClusterTest, BroadcastReadsFindTheOwner) {
   std::string dir = MakeTempDir("mlake-cluster").ValueOrDie();
   auto cluster = MakeCluster(dir, 4);

@@ -83,7 +83,7 @@ TEST_F(GovernanceTest, CitationDocFieldsAndHeritage) {
   ASSERT_TRUE(lake->RecordEdge(second).ok());
   std::string child = ids[2];
 
-  auto doc = CitationDoc(*lake, child);
+  auto doc = lake->CitationDoc(child);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const Json& cite = doc.ValueUnsafe();
   EXPECT_EQ(cite.GetString("schema"), "mlake.citation");
@@ -118,7 +118,7 @@ TEST_F(GovernanceTest, CitationDocFieldsAndHeritage) {
 
 TEST_F(GovernanceTest, CitationDocMissingModel) {
   auto lake = MakeLake("cite-missing", 10);
-  EXPECT_TRUE(CitationDoc(*lake, "no-such-model").status().IsNotFound());
+  EXPECT_TRUE(lake->CitationDoc("no-such-model").status().IsNotFound());
 }
 
 TEST_F(GovernanceTest, ExportSchemaAndCounts) {

@@ -227,8 +227,8 @@ TEST(HnswTest, NormalizeAtAddPreservesCosineResults) {
 }
 
 // SearchBatch must return, for every slot, exactly the bits a solo
-// Search would have produced — the server's batching layer relies on
-// this to keep coalescing invisible to clients. Exercised on both
+// Search would have produced — the solo path delegates to it with a
+// batch of one, so the two must never diverge. Exercised on both
 // sides of the dense-GEMM segment threshold (128) so the brute-force
 // block path and the graph-walk path are both covered.
 void ExpectBatchMatchesSolo(const HnswIndex& index,

@@ -106,8 +106,7 @@ TEST(InvertedIndexTest, TieBrokenByDocId) {
 TEST(InvertedIndexTest, SearchBatchBitIdenticalToSolo) {
   InvertedIndex index = MakeCorpus();
   // Duplicates, non-matching and empty queries in one batch; every
-  // slot must carry exactly the solo result (same docs, same bits —
-  // the server's batching layer depends on it).
+  // slot must carry exactly the solo result (same docs, same bits).
   std::vector<std::string> queries = {
       "legal",       "legal summarization", "model",
       "legal",       "nonexistentterm",     "",

@@ -306,8 +306,8 @@ TEST_F(ModelLakeTest, CitationPinsGraphRevision) {
                                 Card("derived", "sum", "sum/legal"))
                   .ok());
 
-  Json cite1 = lake->Cite("derived").ValueOrDie();
-  Json cite1_again = lake->Cite("derived").ValueOrDie();
+  Json cite1 = lake->CitationDoc("derived").ValueOrDie();
+  Json cite1_again = lake->CitationDoc("derived").ValueOrDie();
   EXPECT_TRUE(cite1 == cite1_again) << "stable when the graph is unchanged";
 
   versioning::VersionEdge edge;
@@ -316,13 +316,13 @@ TEST_F(ModelLakeTest, CitationPinsGraphRevision) {
   edge.type = versioning::EdgeType::kFinetune;
   ASSERT_TRUE(lake->RecordEdge(edge).ok());
 
-  Json cite2 = lake->Cite("derived").ValueOrDie();
+  Json cite2 = lake->CitationDoc("derived").ValueOrDie();
   EXPECT_GT(cite2.GetInt64("graph_revision"), cite1.GetInt64("graph_revision"));
   // Lineage path now includes the parent.
   ASSERT_EQ(cite2.Find("lineage_path")->size(), 2u);
   EXPECT_NE(cite2.GetString("text").find("base -> derived"),
             std::string::npos);
-  EXPECT_TRUE(lake->Cite("ghost").status().IsNotFound());
+  EXPECT_TRUE(lake->CitationDoc("ghost").status().IsNotFound());
 }
 
 TEST_F(ModelLakeTest, FsckDetectsCorruptedArtifacts) {

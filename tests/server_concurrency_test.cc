@@ -236,13 +236,13 @@ TEST(ServerConcurrencyTest, MixedTrafficMatchesSerialOracle) {
   ASSERT_TRUE(RemoveAll(dir).ok());
 }
 
-// Search batching must be invisible to clients: a response produced
-// inside a coalesced batch is byte-identical to the response the same
-// request gets alone (a batch of one). Sequential requests first build
-// the solo oracle, then a concurrent storm over the same request set
-// checks every answer against it. Runs under TSan in CI with
-// MLAKE_TEST_BATCH_WINDOW_US forcing the coalescing path, and uses a
-// wide window here so batches of size > 1 actually form.
+// Concurrency must be invisible to clients: a response produced while
+// other searches run is byte-identical to the response the same
+// request gets alone. (The lake's solo probes delegate to the index
+// SearchBatch code with a batch of one; hnsw_test and
+// inverted_index_test pin batch ≡ solo at that level.) Sequential
+// requests first build the oracle, then a concurrent storm over the
+// same request set checks every answer against it.
 TEST(ServerConcurrencyTest, BatchedSearchMatchesSoloOracle) {
   auto dir = MakeTempDir("mlake-server-batch").ValueOrDie();
   core::LakeOptions lake_options;
@@ -262,9 +262,6 @@ TEST(ServerConcurrencyTest, BatchedSearchMatchesSoloOracle) {
   ServerOptions options;
   options.threads = 10;
   options.max_inflight = 64;
-  options.enable_batching = true;
-  options.batch_window_us = 10000;
-  options.max_batch = 8;
   LakeServer server(lake.get(), options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -276,7 +273,7 @@ TEST(ServerConcurrencyTest, BatchedSearchMatchesSoloOracle) {
   bodies.push_back(R"({"type": "keyword", "query": "sum legal", "k": 5})");
   bodies.push_back(R"({"type": "keyword", "query": "legal", "k": 3})");
 
-  // ---- solo oracle: sequential requests run as batches of one.
+  // ---- solo oracle: sequential requests.
   std::map<std::string, std::string> oracle;
   {
     HttpClient client("127.0.0.1", server.port());
@@ -317,22 +314,6 @@ TEST(ServerConcurrencyTest, BatchedSearchMatchesSoloOracle) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-
-  // The storm actually coalesced (more requests than probes), and
-  // /statsz surfaces the occupancy histogram.
-  HttpClient verifier("127.0.0.1", server.port());
-  auto statsz = verifier.Get("/statsz");
-  ASSERT_TRUE(statsz.ok());
-  auto parsed = Json::Parse(statsz.ValueUnsafe().body).ValueOrDie();
-  const Json* batching = parsed.Find("batching");
-  ASSERT_NE(batching, nullptr);
-  int64_t batches = batching->GetInt64("batches", 0);
-  int64_t batched_requests = batching->GetInt64("batched_requests", 0);
-  EXPECT_GE(batched_requests,
-            static_cast<int64_t>(bodies.size()) + kThreads * kRounds);
-  EXPECT_GT(batched_requests, batches);
-  ASSERT_NE(batching->Find("occupancy"), nullptr);
-  EXPECT_EQ(batching->Find("occupancy")->GetInt64("count", -1), batches);
 
   ASSERT_TRUE(server.Stop().ok());
   lake.reset();

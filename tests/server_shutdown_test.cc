@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/router.h"
 #include "common/file_util.h"
 #include "server/client.h"
 #include "server/http.h"
@@ -15,7 +16,8 @@ namespace mlake::server {
 namespace {
 
 /// Shutdown tests need no models — they exercise drain mechanics with
-/// /healthz, /v1/models (empty list) and /debug/sleep.
+/// /healthz, /v1/models (empty list), /debug/sleep and delayed
+/// searches.
 class ServerShutdownTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -71,47 +73,6 @@ TEST_F(ServerShutdownTest, InFlightRequestFinishesDuringStop) {
   EXPECT_TRUE(server.draining());
 }
 
-TEST_F(ServerShutdownTest, RequestBytesInKernelBufferAreServed) {
-  // The "no request dropped mid-body" contract, attacked directly: the
-  // full request hits the socket right before Stop() — the server must
-  // answer it even though the drain begins before a worker reads it.
-  ServerOptions options;
-  options.threads = 2;
-  options.drain_deadline_ms = 5000;
-  LakeServer server(lake_.get(), options);
-  ASSERT_TRUE(server.Start().ok());
-
-  constexpr int kClients = 8;
-  std::vector<std::thread> clients;
-  std::atomic<int> answered{0};
-  std::atomic<int> refused{0};
-  std::atomic<int> dropped{0};
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&] {
-      HttpClient client("127.0.0.1", server.port());
-      client.set_timeout_ms(8000);
-      auto response = client.Get("/v1/models");
-      if (!response.ok()) {
-        dropped.fetch_add(1);
-      } else if (response.ValueUnsafe().status == 200) {
-        answered.fetch_add(1);
-      } else {
-        // 503 "shutting down" is an acceptable refusal: the client got
-        // a well-formed answer, not a severed connection.
-        refused.fetch_add(1);
-      }
-    });
-  }
-  // Let the requests land in socket buffers, then shut down.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(server.Stop().ok());
-  for (auto& t : clients) t.join();
-
-  EXPECT_EQ(answered.load() + refused.load(), kClients);
-  EXPECT_EQ(dropped.load(), 0);
-  EXPECT_GE(answered.load(), 1);  // at least the picked-up ones succeeded
-}
-
 TEST_F(ServerShutdownTest, DrainDeadlineForceClosesStragglers) {
   // A sleeper longer than the drain budget: Stop() must not hang on it.
   ServerOptions options;
@@ -141,29 +102,145 @@ TEST_F(ServerShutdownTest, DrainDeadlineForceClosesStragglers) {
   straggler.join();
 }
 
-TEST_F(ServerShutdownTest, NewConnectionsRefusedWhileDraining) {
-  ServerOptions options;
-  options.threads = 2;
-  options.enable_debug_endpoints = true;
-  options.drain_deadline_ms = 3000;
-  LakeServer server(lake_.get(), options);
-  ASSERT_TRUE(server.Start().ok());
-  int port = server.port();
+/// The two front ends that share the drain code: mlaked itself, and a
+/// cluster router in front of one mlaked backend.
+enum class FrontEnd { kLakeServer, kRouter };
 
-  // Hold the drain open with a sleeper so we can probe mid-drain.
+class FrontEndDrainTest : public ServerShutdownTest,
+                          public ::testing::WithParamInterface<FrontEnd> {
+ protected:
+  void TearDown() override {
+    router_.reset();
+    server_.reset();
+    backend_.reset();
+    ServerShutdownTest::TearDown();
+  }
+
+  /// Starts the front end under test with `threads` workers.
+  void StartFrontEnd(int threads, int drain_deadline_ms) {
+    ServerOptions options;
+    options.threads = threads;
+    options.enable_debug_endpoints = true;
+    options.drain_deadline_ms = drain_deadline_ms;
+    if (GetParam() == FrontEnd::kLakeServer) {
+      server_ = std::make_unique<LakeServer>(lake_.get(), options);
+      ASSERT_TRUE(server_->Start().ok());
+      port_ = server_->port();
+      return;
+    }
+    options.threads = 16;  // covers the router's pooled connections
+    options.shard_id = 0;
+    options.cluster_size = 1;
+    options.test_search_delay_us = search_delay_us_;
+    backend_ = std::make_unique<LakeServer>(lake_.get(), options);
+    ASSERT_TRUE(backend_->Start().ok());
+    cluster::RouterOptions router_options;
+    router_options.threads = threads;
+    router_options.drain_deadline_ms = drain_deadline_ms;
+    router_options.backends = {{"127.0.0.1", backend_->port(), 0}};
+    router_ = std::make_unique<cluster::Router>(router_options);
+    ASSERT_TRUE(router_->Start().ok());
+    port_ = router_->port();
+  }
+
+  Status StopFrontEnd() {
+    return server_ != nullptr ? server_->Stop() : router_->Stop();
+  }
+
+  bool Draining() const {
+    return server_ != nullptr ? server_->draining() : router_->draining();
+  }
+
+  /// A request that spends about `ms` inside the front end: /debug/sleep
+  /// on mlaked, a routed search the backend delays on the router.
+  Result<HttpResponse> SlowRequest(HttpClient* client, int ms) {
+    if (server_ != nullptr) {
+      return client->Get("/debug/sleep?ms=" + std::to_string(ms));
+    }
+    search_delay_us_->store(int64_t{ms} * 1000);
+    return client->Post("/v1/search",
+                        R"({"type": "mlql", "query": "FIND MODELS LIMIT 1"})");
+  }
+
+  /// Occupies one worker per client with an idle keep-alive connection
+  /// (one answered request, then silence).
+  void PinWorkers(int n, std::vector<std::unique_ptr<HttpClient>>* pinned) {
+    for (int i = 0; i < n; ++i) {
+      auto client = std::make_unique<HttpClient>("127.0.0.1", port_);
+      auto response = client->Get("/healthz");
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response.ValueUnsafe().status, 200);
+      pinned->push_back(std::move(client));
+    }
+  }
+
+  int port_ = 0;
+  std::shared_ptr<std::atomic<int64_t>> search_delay_us_ =
+      std::make_shared<std::atomic<int64_t>>(0);
+  std::unique_ptr<LakeServer> server_;
+  std::unique_ptr<LakeServer> backend_;
+  std::unique_ptr<cluster::Router> router_;
+};
+
+TEST_P(FrontEndDrainTest, RequestBytesInKernelBufferAreServed) {
+  // The "no request dropped mid-body" contract, attacked directly:
+  // with every worker pinned by an idle keep-alive connection, the
+  // requests below are accepted but queued, their bytes sitting in the
+  // kernel buffer when Stop() begins. Each must still get an answer —
+  // 200, or a clean 503 "shutting down" — never a severed connection.
+  constexpr int kWorkers = 2;
+  StartFrontEnd(kWorkers, /*drain_deadline_ms=*/5000);
+  std::vector<std::unique_ptr<HttpClient>> pinned;
+  PinWorkers(kWorkers, &pinned);
+
+  constexpr int kQueued = 4;
+  std::vector<std::thread> clients;
+  std::atomic<int> answered{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> dropped{0};
+  for (int i = 0; i < kQueued; ++i) {
+    clients.emplace_back([&] {
+      HttpClient client("127.0.0.1", port_);
+      client.set_timeout_ms(8000);
+      auto response = client.Get("/v1/models");
+      if (!response.ok()) {
+        dropped.fetch_add(1);
+      } else if (response.ValueUnsafe().status == 200) {
+        answered.fetch_add(1);
+      } else if (response.ValueUnsafe().status == 503) {
+        refused.fetch_add(1);
+      }
+    });
+  }
+  // Let the requests land in socket buffers, then shut down.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(StopFrontEnd().ok());
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(dropped.load(), 0);
+  EXPECT_EQ(answered.load() + refused.load(), kQueued);
+}
+
+TEST_P(FrontEndDrainTest, NewConnectionsRefusedWhileDraining) {
+  constexpr int kWorkers = 2;
+  StartFrontEnd(kWorkers, /*drain_deadline_ms=*/3000);
+  // One worker idles on a keep-alive connection; the other holds the
+  // drain open with a slow request, so we can probe mid-drain.
+  std::vector<std::unique_ptr<HttpClient>> pinned;
+  PinWorkers(kWorkers - 1, &pinned);
   std::thread sleeper([&] {
-    HttpClient client("127.0.0.1", port);
+    HttpClient client("127.0.0.1", port_);
     client.set_timeout_ms(8000);
-    (void)client.Get("/debug/sleep?ms=800");
+    (void)SlowRequest(&client, 800);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
-  std::thread stopper([&] { ASSERT_TRUE(server.Stop().ok()); });
+  std::thread stopper([&] { ASSERT_TRUE(StopFrontEnd().ok()); });
   // Wait for the drain flag, then try to connect fresh.
-  while (!server.draining()) std::this_thread::yield();
+  while (!Draining()) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  HttpClient late("127.0.0.1", port);
+  HttpClient late("127.0.0.1", port_);
   late.set_timeout_ms(2000);
   auto response = late.Get("/healthz");
   // Either the listener is already gone (connect refused -> error) or,
@@ -175,6 +252,13 @@ TEST_F(ServerShutdownTest, NewConnectionsRefusedWhileDraining) {
   stopper.join();
   sleeper.join();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothFrontEnds, FrontEndDrainTest,
+    ::testing::Values(FrontEnd::kLakeServer, FrontEnd::kRouter),
+    [](const ::testing::TestParamInfo<FrontEnd>& info) {
+      return info.param == FrontEnd::kLakeServer ? "LakeServer" : "Router";
+    });
 
 }  // namespace
 }  // namespace mlake::server

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <string>
 
@@ -82,6 +83,25 @@ TEST(ParseUintTest, AcceptsDigitsOnly) {
   EXPECT_EQ(ParseUint("0"), 0u);
   EXPECT_EQ(ParseUint("42"), 42u);
   EXPECT_EQ(ParseUint("007"), 7u);
+}
+
+TEST(ParseBoundedIntTest, AcceptsValuesUpToTheBound) {
+  EXPECT_EQ(ParseBoundedInt("0"), 0);
+  EXPECT_EQ(ParseBoundedInt("8080"), 8080);
+  EXPECT_EQ(ParseBoundedInt("2147483647"), INT_MAX);
+  EXPECT_EQ(ParseBoundedInt("1024", 1024), 1024);
+}
+
+TEST(ParseBoundedIntTest, RejectsJunkAndOutOfRange) {
+  // `--port junk` and friends must be usage errors, not port 0.
+  EXPECT_FALSE(ParseBoundedInt("junk").has_value());
+  EXPECT_FALSE(ParseBoundedInt("").has_value());
+  EXPECT_FALSE(ParseBoundedInt("80x").has_value());
+  EXPECT_FALSE(ParseBoundedInt("-1").has_value());
+  // Values that used to wrap around int.
+  EXPECT_FALSE(ParseBoundedInt("2147483648").has_value());
+  EXPECT_FALSE(ParseBoundedInt("99999999999999999999999").has_value());
+  EXPECT_FALSE(ParseBoundedInt("1025", 1024).has_value());
 }
 
 TEST(ParseUintTest, RejectsEmptyInput) {

@@ -42,14 +42,12 @@
 //   compact                      fold the in-memory index deltas into a
 //                                new on-disk snapshot generation
 //   serve [--port P] [--http-threads N] [--max-inflight M]
-//         [--deadline-ms D] [--batch-window-us W] [--max-batch B]
-//         [--shard-id S --cluster-size N]
+//         [--deadline-ms D] [--shard-id S --cluster-size N]
 //         [--replicated] [--replica-of HOST:PORT [--poll-ms M]]
 //                                run mlaked, the JSON-over-HTTP lake
 //                                server, until SIGINT/SIGTERM (graceful
 //                                drain; prints /statsz on shutdown).
-//                                W=0 disables search batching. With
-//                                --shard-id/--cluster-size the server
+//                                With --shard-id/--cluster-size the server
 //                                acts as one shard of a cluster and
 //                                rejects misrouted ingests.
 //                                --replicated keeps the replayable op
@@ -74,9 +72,14 @@
 //   help [COMMAND]               top-level usage, or one command's
 //                                flags in detail. Needs no --lake.
 //
+// Integer flags of serve and route take a base-10 value in
+// [0, INT_MAX]; junk or out-of-range values are usage errors. A
+// --deadline-ms of 0 means no deadline on both.
+//
 // Exit code 0 on success, 1 on any error.
 
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -89,7 +92,6 @@
 #include "common/file_util.h"
 #include "common/string_util.h"
 #include "core/model_lake.h"
-#include "governance/governance.h"
 #include "lakegen/lakegen.h"
 #include "replication/replicator.h"
 #include "server/client.h"
@@ -228,10 +230,8 @@ int CmdHelp(const std::vector<std::string>& args) {
        "  --port P               listen port (default 8080)\n"
        "  --http-threads N       worker threads\n"
        "  --max-inflight M       admission limit (excess answers 429)\n"
-       "  --deadline-ms D        default request deadline\n"
+       "  --deadline-ms D        default request deadline (0 = none)\n"
        "  --drain-deadline-ms D  shutdown drain budget\n"
-       "  --batch-window-us W    search coalescing window (0 disables)\n"
-       "  --max-batch B          max coalesced searches per batch\n"
        "  --shard-id S           this server's shard slot (with\n"
        "  --cluster-size N       the shard count; misrouted ingests are\n"
        "                         rejected)\n"
@@ -251,7 +251,7 @@ int CmdHelp(const std::vector<std::string>& args) {
        "  --cluster-size N       shard slots (default: backend count)\n"
        "  --port P               listen port (default 8090)\n"
        "  --http-threads N       worker threads\n"
-       "  --deadline-ms D        default request deadline\n"
+       "  --deadline-ms D        default request deadline (0 = none)\n"
        "  --drain-deadline-ms D  shutdown drain budget\n"
        "  --heartbeat-ms M       backend heartbeat cadence\n"
        "  --hedge-min-delay-ms M hedge floor\n"
@@ -410,7 +410,7 @@ int CmdCite(core::ModelLake* lake, const std::vector<std::string>& args) {
     }
   }
   if (id.empty()) return Usage();
-  auto doc = governance::CitationDoc(*lake, id);
+  auto doc = lake->CitationDoc(id);
   if (!doc.ok()) return Fail(doc.status());
   if (format == "json") {
     std::printf("%s\n", doc.ValueUnsafe().Dump(2).c_str());
@@ -599,30 +599,62 @@ int CmdFsck(core::ModelLake* lake, const std::vector<std::string>& args) {
   return 1;
 }
 
+/// The checked integer flag of serve and route. When args[*i] is
+/// `flag`, consumes it and its value and returns true. The value must
+/// be a base-10 integer in [0, INT_MAX] (ParseUint rules: no sign, no
+/// junk); anything else, a missing value included, is reported and sets
+/// *bad, so the command answers with usage instead of running with a
+/// garbage setting.
+bool IntFlag(const std::vector<std::string>& args, size_t* i,
+             const char* flag, int* out, bool* bad) {
+  if (args[*i] != flag) return false;
+  std::optional<int> value;
+  if (*i + 1 < args.size()) value = ParseBoundedInt(args[++*i]);
+  if (value) {
+    *out = *value;
+  } else {
+    std::fprintf(stderr, "mlake: %s takes an integer in 0..%d\n", flag,
+                 INT_MAX);
+    *bad = true;
+  }
+  return true;
+}
+
+/// Blocks SIGINT/SIGTERM in the calling thread. Call it before starting
+/// a server, so every server thread inherits the mask and the main
+/// thread owns delivery through AwaitShutdownSignal.
+sigset_t BlockShutdownSignals() {
+  sigset_t sigs;
+  sigemptyset(&sigs);
+  sigaddset(&sigs, SIGINT);
+  sigaddset(&sigs, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
+  return sigs;
+}
+
+void AwaitShutdownSignal(const sigset_t& sigs, int drain_deadline_ms) {
+  int sig = 0;
+  sigwait(&sigs, &sig);
+  std::printf("caught %s, draining (deadline %d ms)...\n",
+              sig == SIGINT ? "SIGINT" : "SIGTERM", drain_deadline_ms);
+  std::fflush(stdout);
+}
+
 int CmdServe(core::ModelLake* lake, const std::vector<std::string>& args) {
   server::ServerOptions options;
   options.port = 8080;
   replication::ReplicaOptions replica_options;
   bool is_replica = false;
+  bool bad_value = false;
   for (size_t i = 0; i < args.size(); ++i) {
     auto int_arg = [&](const char* flag, int* out) {
-      if (args[i] != flag || i + 1 >= args.size()) return false;
-      *out = static_cast<int>(std::strtol(args[++i].c_str(), nullptr, 10));
-      return true;
+      return IntFlag(args, &i, flag, out, &bad_value);
     };
     if (int_arg("--port", &options.port)) continue;
     if (int_arg("--http-threads", &options.threads)) continue;
     if (int_arg("--max-inflight", &options.max_inflight)) continue;
     if (int_arg("--deadline-ms", &options.default_deadline_ms)) continue;
     if (int_arg("--drain-deadline-ms", &options.drain_deadline_ms)) continue;
-    int window_us = -1;
-    if (int_arg("--batch-window-us", &window_us)) {
-      // 0 disables coalescing entirely; >0 sets the leader wait.
-      options.enable_batching = window_us > 0;
-      options.batch_window_us = window_us;
-      continue;
-    }
-    if (int_arg("--max-batch", &options.max_batch)) continue;
     if (int_arg("--shard-id", &options.shard_id)) continue;
     if (int_arg("--cluster-size", &options.cluster_size)) continue;
     // --replicated only affects how the lake was opened (Run() peeks
@@ -639,6 +671,7 @@ int CmdServe(core::ModelLake* lake, const std::vector<std::string>& args) {
     if (int_arg("--poll-ms", &replica_options.poll_interval_ms)) continue;
     return Usage();
   }
+  if (bad_value) return Usage();
 
   std::unique_ptr<replication::Replicator> replicator;
   if (is_replica) {
@@ -648,39 +681,23 @@ int CmdServe(core::ModelLake* lake, const std::vector<std::string>& args) {
     options.replication = replicator.get();
   }
 
-  // Block the shutdown signals before Start so every server thread
-  // inherits the mask; the main thread then owns delivery via sigwait.
-  sigset_t sigs;
-  sigemptyset(&sigs);
-  sigaddset(&sigs, SIGINT);
-  sigaddset(&sigs, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-
+  sigset_t sigs = BlockShutdownSignals();
   server::LakeServer server(lake, options);
   Status st = server.Start();
   if (!st.ok()) return Fail(st);
+  std::string role;
   if (replicator != nullptr) {
     st = replicator->Start();
     if (!st.ok()) return Fail(st);
-    std::printf("mlaked (replica of %s:%d) listening on %s:%d (%zu models, "
-                "%d worker threads)\n",
-                replica_options.leader_host.c_str(),
-                replica_options.leader_port,
-                server.options().bind_address.c_str(), server.port(),
-                lake->NumModels(), server.options().threads);
-  } else {
-    std::printf("mlaked listening on %s:%d (%zu models, %d worker threads)\n",
-                server.options().bind_address.c_str(), server.port(),
-                lake->NumModels(), server.options().threads);
+    role = StrFormat(" (replica of %s:%d)", replica_options.leader_host.c_str(),
+                     replica_options.leader_port);
   }
+  std::printf("mlaked%s listening on %s:%d (%zu models, %d worker threads)\n",
+              role.c_str(), server.options().bind_address.c_str(),
+              server.port(), lake->NumModels(), server.options().threads);
   std::fflush(stdout);
 
-  int sig = 0;
-  sigwait(&sigs, &sig);
-  std::printf("caught %s, draining (deadline %d ms)...\n",
-              sig == SIGINT ? "SIGINT" : "SIGTERM",
-              server.options().drain_deadline_ms);
-  std::fflush(stdout);
+  AwaitShutdownSignal(sigs, server.options().drain_deadline_ms);
   if (replicator != nullptr) (void)replicator->Stop();
   st = server.Stop();
   std::printf("%s\n", server.StatszJson().Dump(2).c_str());
@@ -702,11 +719,10 @@ int CmdRoute(const std::vector<std::string>& args) {
   cluster::RouterOptions options;
   options.port = 8090;
   std::vector<std::string> specs;
+  bool bad_value = false;
   for (size_t i = 0; i < args.size(); ++i) {
     auto int_arg = [&](const char* flag, int* out) {
-      if (args[i] != flag || i + 1 >= args.size()) return false;
-      *out = static_cast<int>(std::strtol(args[++i].c_str(), nullptr, 10));
-      return true;
+      return IntFlag(args, &i, flag, out, &bad_value);
     };
     if (args[i] == "--backends" && i + 1 < args.size()) {
       specs = Split(args[++i], ',');
@@ -725,7 +741,7 @@ int CmdRoute(const std::vector<std::string>& args) {
     }
     return Usage();
   }
-  if (specs.empty()) return Usage();
+  if (bad_value || specs.empty()) return Usage();
 
   // Backends without an explicit @shard get position modulo cluster
   // size, so "a,b,c,d --cluster-size 2" means two shards with two
@@ -744,12 +760,7 @@ int CmdRoute(const std::vector<std::string>& args) {
   }
   if (options.cluster_size == 0) options.cluster_size = implied_size;
 
-  sigset_t sigs;
-  sigemptyset(&sigs);
-  sigaddset(&sigs, SIGINT);
-  sigaddset(&sigs, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-
+  sigset_t sigs = BlockShutdownSignals();
   cluster::Router router(options);
   Status st = router.Start();
   if (!st.ok()) return Fail(st);
@@ -758,12 +769,7 @@ int CmdRoute(const std::vector<std::string>& args) {
               router.options().cluster_size, router.options().backends.size());
   std::fflush(stdout);
 
-  int sig = 0;
-  sigwait(&sigs, &sig);
-  std::printf("caught %s, draining (deadline %d ms)...\n",
-              sig == SIGINT ? "SIGINT" : "SIGTERM",
-              router.options().drain_deadline_ms);
-  std::fflush(stdout);
+  AwaitShutdownSignal(sigs, router.options().drain_deadline_ms);
   st = router.Stop();
   std::printf("%s\n", router.StatszJson().Dump(2).c_str());
   return st.ok() ? 0 : Fail(st);
@@ -781,14 +787,19 @@ int Run(int argc, char** argv) {
     if (std::strcmp(argv[i], "--lake") == 0 && i + 1 < argc) {
       lake_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      std::optional<uint64_t> n = ParseUint(argv[++i]);
-      if (!n || *n < 1 || *n > kMaxThreads) {
+      std::optional<int> n = ParseBoundedInt(argv[++i], kMaxThreads);
+      if (!n || *n < 1) {
         std::fprintf(stderr, "mlake: --threads takes 1..%d\n", kMaxThreads);
         return 2;
       }
-      threads = static_cast<int>(*n);
+      threads = *n;
     } else if (std::strcmp(argv[i], "--cache-mb") == 0 && i + 1 < argc) {
-      cache_mb = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      std::optional<int> mb = ParseBoundedInt(argv[++i]);
+      if (!mb) {
+        std::fprintf(stderr, "mlake: --cache-mb takes 0..%d\n", INT_MAX);
+        return 2;
+      }
+      cache_mb = *mb;
     } else {
       rest.emplace_back(argv[i]);
     }
