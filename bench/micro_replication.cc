@@ -23,6 +23,14 @@
 //                                   on the replica, so this should cost
 //                                   roughly one normal round trip —
 //                                   tracked to prove the insulation.
+//   catchup_seed / catchup_log  an empty replica caught up from a
+//              leader of 5,120 metadata-only models (512-card ingest
+//              batches, default lake options): one leader
+//              compacted (the replica installs the replication seed
+//              with the leader's index generation), one never
+//              compacted (the replica replays the JSON op log). Timed
+//              like the perfbench set-up: SyncOnce plus the replica's
+//              own CompactIndices.
 //   fingerprint_us  one ModelLake::ReplicationFingerprint() call (the
 //              replica's periodic divergence check, run on leader and
 //              replica alike) on a lake of 5,000 metadata-only models,
@@ -344,6 +352,67 @@ cluster::RouterOptions RouterOpts(int leader_port, int replica_port) {
   return options;
 }
 
+constexpr size_t kCatchupModels = 5120;
+
+/// Catches an empty replica up from `leader` (served on loopback) the
+/// way perfbench's set-up does: SyncOnce, then CompactIndices until a
+/// pass completes. Returns the entry; `*converged` is false when the
+/// replica's fingerprint or watermark disagrees with the leader's.
+Json CatchupEntry(const std::string& name, core::ModelLake* leader,
+                  const std::string& replica_root, bool* converged) {
+  server::ServerOptions server_options;
+  server_options.threads = 4;
+  server::LakeServer server(leader, server_options);
+  Check(server.Start(), "catchup leader Start");
+  core::LakeOptions replica_options;
+  replica_options.root = replica_root;
+  replica_options.replication_log = true;
+  auto replica = Unwrap(core::ModelLake::Open(replica_options),
+                        "catchup replica lake");
+  replication::ReplicaOptions options;
+  options.leader_port = server.port();
+  auto replicator =
+      Unwrap(replication::Replicator::Open(replica.get(), options),
+             "Replicator::Open");
+  auto start = Clock::now();
+  size_t applied = Unwrap(replicator->SyncOnce(), "SyncOnce");
+  const double sync_s =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  Status compacted;
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    compacted = replica->CompactIndices();
+    if (!compacted.IsUnavailable()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  Check(compacted, "replica CompactIndices");
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  *converged = replicator->AppliedSeq() == leader->ReplicationLastSeq() &&
+               replica->ReplicationFingerprint() ==
+                   leader->ReplicationFingerprint();
+  Json passes = *replica->IndexStatsJson().Find("compactions");
+  Json entry = Json::MakeObject();
+  entry.Set("name", name);
+  entry.Set("models", kCatchupModels);
+  entry.Set("seconds", seconds);
+  entry.Set("sync_once_s", sync_s);
+  entry.Set("entries_applied", applied);
+  entry.Set("seed_installs", replicator->seed_installs());
+  entry.Set("leader_generation", leader->IndexGeneration());
+  entry.Set("replica_generation", replica->IndexGeneration());
+  entry.Set("replica_compactions", std::move(passes));
+  entry.Set("converged", *converged);
+  entry.Set("ns_per_op", seconds * 1e9 / double(kCatchupModels));
+  std::printf("  %-14s %.3f s (SyncOnce %.3f s), %zu log entries, "
+              "%llu seed install(s), converged %s\n",
+              name.c_str(), seconds, sync_s, applied,
+              static_cast<unsigned long long>(replicator->seed_installs()),
+              *converged ? "yes" : "NO");
+  Check(replicator->Stop(), "replicator Stop");
+  Check(server.Stop(), "catchup leader Stop");
+  return entry;
+}
+
 int Main(int argc, char** argv) {
   bool quick = false;
   std::string out = "BENCH_replication.json";
@@ -487,6 +556,38 @@ int Main(int argc, char** argv) {
 
   Check(replica_server->Stop(), "replica server final Stop");
 
+  // -- catchup_seed / catchup_log: empty replica vs 5k-model leaders ----
+  std::printf("\ncatchup from a %zu-model leader, compacted (seed) vs not "
+              "(log):\n", kCatchupModels);
+  bool seed_converged = false;
+  bool log_converged = false;
+  for (bool compacted : {true, false}) {
+    core::LakeOptions leader_options;
+    leader_options.root = JoinPath(root.path(), compacted ? "seed-leader"
+                                                          : "log-leader");
+    leader_options.replication_log = true;
+    // The log leader must not publish a generation in the background.
+    leader_options.background_compaction = compacted;
+    auto leader = Unwrap(core::ModelLake::Open(leader_options),
+                         "catchup leader lake");
+    for (size_t from = 0; from < kCatchupModels; from += 1024) {
+      IngestMetadataModels(leader.get(), from, from + 1024);
+    }
+    if (compacted) {
+      Status st;
+      for (int attempt = 0; attempt < 50; ++attempt) {
+        st = leader->CompactIndices();
+        if (!st.IsUnavailable()) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      Check(st, "leader CompactIndices");
+    }
+    entries.Append(CatchupEntry(
+        compacted ? "catchup_seed" : "catchup_log", leader.get(),
+        JoinPath(root.path(), compacted ? "seed-replica" : "log-replica"),
+        compacted ? &seed_converged : &log_converged));
+  }
+
   // -- fingerprint: one divergence-check fingerprint on a 5k-model lake --
   std::printf("\nfingerprint: ReplicationFingerprint() on a metadata-only "
               "lake:\n");
@@ -526,6 +627,7 @@ int Main(int argc, char** argv) {
   meta.Set("quick", quick);
   meta.Set("catchup_converged", converged);
   meta.Set("fingerprint_models", kFingerprintModels);
+  meta.Set("catchup_models", kCatchupModels);
   meta.Set(
       "failover_note",
       "Routed reads prefer the replica, so failover_read_backend_loss "
@@ -554,7 +656,8 @@ int Main(int argc, char** argv) {
               "failover first read: %.0f us\n",
               catchup_entries_per_s, replica_read_qps,
               backend_loss.first_read_us);
-  if (!converged || !backend_loss.succeeded || !leader_loss.succeeded) {
+  if (!converged || !seed_converged || !log_converged ||
+      !backend_loss.succeeded || !leader_loss.succeeded) {
     return 1;
   }
   return 0;

@@ -668,13 +668,15 @@ HttpResponse Router::HandleModelList(RequestContext& ctx) {
 }
 
 HttpResponse Router::HandleBroadcast(RequestContext& ctx) {
-  auto result = BroadcastFirst(ctx.request.path, ctx.deadline);
+  // The raw target, query string included: backends answer e.g.
+  // `citation?format=bibtex` differently from the bare path.
+  auto result = BroadcastFirst(ctx.request.target, ctx.deadline);
   if (!result.ok()) return ErrorResponse(result.status());
   return result.MoveValueUnsafe();
 }
 
 HttpResponse Router::HandleExport(RequestContext& ctx) {
-  auto legs = Scatter("GET", "/v1/export", "", ctx.deadline);
+  auto legs = Scatter("GET", ctx.request.target, "", ctx.deadline);
   if (!legs.ok()) return ErrorResponse(legs.status());
   HttpResponse relay;
   if (!AllOk(legs.ValueUnsafe(), &relay)) return relay;

@@ -1,5 +1,6 @@
 #include "common/hash.h"
 
+#include <bit>
 #include <cstring>
 
 namespace mlake {
@@ -18,15 +19,24 @@ uint64_t Fnv1a64(std::string_view s) { return Fnv1a64(s.data(), s.size()); }
 
 namespace {
 
+/// Slicing-by-8 tables: entries[0] is the classic byte-at-a-time table;
+/// entries[k][b] is the CRC of byte b followed by k zero bytes, so one
+/// step folds eight input bytes with eight independent lookups.
 struct Crc32Table {
-  uint32_t entries[256];
+  uint32_t entries[8][256];
   Crc32Table() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        uint32_t prev = entries[k - 1][i];
+        entries[k][i] = entries[0][prev & 0xFF] ^ (prev >> 8);
+      }
     }
   }
 };
@@ -39,11 +49,34 @@ const Crc32Table& GetCrc32Table() {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len) {
-  const Crc32Table& table = GetCrc32Table();
+  const auto& t = GetCrc32Table().entries;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  // Byte steps up to an 8-byte boundary, then eight bytes per step
+  // (two little-endian words; the CRC is reflected, so the low word
+  // absorbs the running state), then the tail byte by byte.
+  while (len > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
+    c = t[0][(c ^ *p++) & 0xFF] ^ (c >> 8);
+    --len;
+  }
+  while (len >= 8) {
+    uint32_t lo, hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    if constexpr (std::endian::native == std::endian::big) {
+      lo = __builtin_bswap32(lo);
+      hi = __builtin_bswap32(hi);
+    }
+    lo ^= c;
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    p += 8;
+    len -= 8;
+  }
+  while (len > 0) {
+    c = t[0][(c ^ *p++) & 0xFF] ^ (c >> 8);
+    --len;
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -25,14 +25,6 @@ namespace {
 /// the cap only bounds pathological many-distinct-query workloads).
 constexpr size_t kPlanCacheCap = 512;
 
-/// The catalog kinds that are replicated state, in fingerprint order.
-/// Local-only kinds ("graph", "degraded", ...) are never digested.
-const std::vector<std::string>& ReplicatedKinds() {
-  static const std::vector<std::string> kinds = {"model", "card",
-                                                 "embedding", "dataset"};
-  return kinds;
-}
-
 /// Snapshot file name of one index at one generation.
 std::string SnapName(const char* prefix, uint64_t generation) {
   return StrFormat("%s.%llu.snap", prefix,
@@ -257,86 +249,81 @@ std::string ModelLake::IndexManifestPath() const {
   return JoinPath(IndexDir(), kIndexManifestName);
 }
 
-Status ModelLake::BuildIndexSetFromCatalog(IndexSet* out) const {
+Status ModelLake::ReadIndexInputs(IndexInputs* out) const {
   const ExecutionContext& exec = options_.exec;
+  // Catalog reads are const and safe concurrently; the JSON parse is the
+  // cost, so every kind parses in parallel into catalog-order slots.
+  out->model_ids = catalog_->ListIds("model");
+  out->digests.assign(out->model_ids.size(), std::string());
+  MLAKE_RETURN_NOT_OK(
+      ParallelFor(exec, 0, out->model_ids.size(), [&](size_t i) -> Status {
+        MLAKE_ASSIGN_OR_RETURN(Json model_doc,
+                               catalog_->GetDoc("model", out->model_ids[i]));
+        out->digests[i] = model_doc.GetString("artifact_digest");
+        return Status::OK();
+      }));
+
+  out->card_ids = catalog_->ListIds("card");
+  out->texts.assign(out->card_ids.size(), std::string());
+  MLAKE_RETURN_NOT_OK(
+      ParallelFor(exec, 0, out->card_ids.size(), [&](size_t i) -> Status {
+        MLAKE_ASSIGN_OR_RETURN(Json card_doc,
+                               catalog_->GetDoc("card", out->card_ids[i]));
+        MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card,
+                               metadata::ModelCard::FromJson(card_doc));
+        out->texts[i] = card.SearchText();
+        return Status::OK();
+      }));
+
+  out->embedding_ids = catalog_->ListIds("embedding");
+  out->vectors.assign(out->embedding_ids.size(), std::vector<float>());
+  MLAKE_RETURN_NOT_OK(ParallelFor(
+      exec, 0, out->embedding_ids.size(), [&](size_t i) -> Status {
+        MLAKE_ASSIGN_OR_RETURN(
+            Json doc, catalog_->GetDoc("embedding", out->embedding_ids[i]));
+        MLAKE_ASSIGN_OR_RETURN(
+            out->vectors[i],
+            FloatsFromJson(doc, "embedding doc", StatusCode::kCorruption));
+        return Status::OK();
+      }));
+
+  out->dataset_names = catalog_->ListIds("dataset");
+  out->signatures.assign(out->dataset_names.size(), {});
+  return ParallelFor(
+      exec, 0, out->dataset_names.size(), [&](size_t i) -> Status {
+        MLAKE_ASSIGN_OR_RETURN(std::vector<std::string> shards,
+                               DatasetShardsUnlocked(out->dataset_names[i]));
+        out->signatures[i] = DatasetSignature(shards);
+        return Status::OK();
+      });
+}
+
+Status ModelLake::BuildIndexSet(IndexInputs inputs, IndexSet* out) const {
   out->ann =
       std::make_unique<index::HnswIndex>(embedder_->Dim(), options_.hnsw);
   out->lsh = std::make_unique<index::MinHashLsh>(options_.minhash_bands,
                                                  options_.minhash_rows);
-
-  // Model docs -> digest map (the load path's id -> digest hop without
-  // a catalog JSON parse per load).
-  {
-    std::vector<std::string> ids = catalog_->ListIds("model");
-    std::vector<std::string> digests(ids.size());
-    MLAKE_RETURN_NOT_OK(
-        ParallelFor(exec, 0, ids.size(), [&](size_t i) -> Status {
-          MLAKE_ASSIGN_OR_RETURN(Json model_doc,
-                                 catalog_->GetDoc("model", ids[i]));
-          digests[i] = model_doc.GetString("artifact_digest");
-          return Status::OK();
-        }));
-    for (size_t i = 0; i < ids.size(); ++i) {
-      out->digest_by_id[ids[i]] = digests[i];
-    }
+  for (size_t i = 0; i < inputs.model_ids.size(); ++i) {
+    out->digest_by_id[inputs.model_ids[i]] = std::move(inputs.digests[i]);
   }
-
-  // Cards -> BM25. Catalog reads are const and safe concurrently; the
-  // JSON parse is the cost, so parse in parallel and feed the (single
-  // threaded) inverted index in catalog order.
-  {
-    std::vector<std::string> ids = catalog_->ListIds("card");
-    std::vector<std::string> texts(ids.size());
-    MLAKE_RETURN_NOT_OK(
-        ParallelFor(exec, 0, ids.size(), [&](size_t i) -> Status {
-          MLAKE_ASSIGN_OR_RETURN(Json card_doc,
-                                 catalog_->GetDoc("card", ids[i]));
-          MLAKE_ASSIGN_OR_RETURN(metadata::ModelCard card,
-                                 metadata::ModelCard::FromJson(card_doc));
-          texts[i] = card.SearchText();
-          return Status::OK();
-        }));
-    for (size_t i = 0; i < ids.size(); ++i) out->bm25.Add(ids[i], texts[i]);
+  // The inverted index and the LSH are single threaded: feed them in
+  // catalog order.
+  for (size_t i = 0; i < inputs.card_ids.size(); ++i) {
+    out->bm25.Add(inputs.card_ids[i], inputs.texts[i]);
   }
-
   // Embeddings -> one bulk ANN build (parallel neighbor search inside).
-  {
-    std::vector<std::string> ids = catalog_->ListIds("embedding");
-    std::vector<std::vector<float>> vecs(ids.size());
-    MLAKE_RETURN_NOT_OK(
-        ParallelFor(exec, 0, ids.size(), [&](size_t i) -> Status {
-          MLAKE_ASSIGN_OR_RETURN(Json doc,
-                                 catalog_->GetDoc("embedding", ids[i]));
-          MLAKE_ASSIGN_OR_RETURN(
-              vecs[i], FloatsFromJson(doc, "embedding doc",
-                                      StatusCode::kCorruption));
-          return Status::OK();
-        }));
-    std::vector<int64_t> internal_ids(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      internal_ids[i] = static_cast<int64_t>(out->ann_ids.size());
-      out->ann_ids.push_back(ids[i]);
-    }
-    MLAKE_RETURN_NOT_OK(out->ann->Build(internal_ids, vecs, exec));
+  std::vector<int64_t> internal_ids(inputs.embedding_ids.size());
+  for (size_t i = 0; i < internal_ids.size(); ++i) {
+    internal_ids[i] = static_cast<int64_t>(i);
   }
-
-  // Datasets -> MinHash/LSH (signature hashing parallel, inserts
-  // sequential).
-  {
-    std::vector<std::string> names = catalog_->ListIds("dataset");
-    std::vector<index::MinHashSignature> sigs(names.size());
+  out->ann_ids = std::move(inputs.embedding_ids);
+  MLAKE_RETURN_NOT_OK(
+      out->ann->Build(internal_ids, inputs.vectors, options_.exec));
+  for (size_t i = 0; i < inputs.dataset_names.size(); ++i) {
     MLAKE_RETURN_NOT_OK(
-        ParallelFor(exec, 0, names.size(), [&](size_t i) -> Status {
-          MLAKE_ASSIGN_OR_RETURN(std::vector<std::string> shards,
-                                 DatasetShardsUnlocked(names[i]));
-          sigs[i] = DatasetSignature(shards);
-          return Status::OK();
-        }));
-    for (size_t i = 0; i < names.size(); ++i) {
-      MLAKE_RETURN_NOT_OK(out->lsh->Add(names[i], sigs[i]));
-      out->dataset_names.push_back(names[i]);
-    }
+        out->lsh->Add(inputs.dataset_names[i], inputs.signatures[i]));
   }
+  out->dataset_names = std::move(inputs.dataset_names);
   return Status::OK();
 }
 
@@ -349,8 +336,10 @@ void ModelLake::InstallIndexSet(IndexSet set) {
 }
 
 Status ModelLake::RebuildIndices() {
+  IndexInputs inputs;
+  MLAKE_RETURN_NOT_OK(ReadIndexInputs(&inputs));
   IndexSet fresh;
-  MLAKE_RETURN_NOT_OK(BuildIndexSetFromCatalog(&fresh));
+  MLAKE_RETURN_NOT_OK(BuildIndexSet(std::move(inputs), &fresh));
   InstallIndexSet(std::move(fresh));
   index_generation_ = 0;
   return Status::OK();
@@ -462,23 +451,44 @@ Status ModelLake::LoadIndexSetFromFiles(const std::string& ann_path,
   return Status::OK();
 }
 
-Status ModelLake::LoadIndexSnapshots() {
+Result<ModelLake::IndexManifest> ModelLake::ReadIndexManifest() const {
   if (!fs_->FileExists(IndexManifestPath())) {
     return Status::NotFound("no index manifest");
   }
-  MLAKE_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                         fs_->ReadFile(IndexManifestPath()));
-  MLAKE_ASSIGN_OR_RETURN(Json manifest, Json::Parse(manifest_bytes));
-  const uint64_t gen =
-      static_cast<uint64_t>(manifest.GetInt64("generation", 0));
-  const std::string ann_name = manifest.GetString("ann");
-  const std::string bm25_name = manifest.GetString("bm25");
-  const std::string lsh_name = manifest.GetString("lsh");
-  const std::string ids_name = manifest.GetString("ids");
-  if (gen == 0 || ann_name.empty() || bm25_name.empty() || lsh_name.empty() ||
-      ids_name.empty()) {
+  MLAKE_ASSIGN_OR_RETURN(std::string bytes, fs_->ReadFile(IndexManifestPath()));
+  MLAKE_ASSIGN_OR_RETURN(Json j, Json::Parse(bytes));
+  IndexManifest manifest;
+  manifest.generation = static_cast<uint64_t>(j.GetInt64("generation", 0));
+  manifest.ann = j.GetString("ann");
+  manifest.bm25 = j.GetString("bm25");
+  manifest.lsh = j.GetString("lsh");
+  manifest.ids = j.GetString("ids");
+  manifest.covered_seq = static_cast<uint64_t>(j.GetInt64("covered_seq", 0));
+  if (manifest.generation == 0 || manifest.ann.empty() ||
+      manifest.bm25.empty() || manifest.lsh.empty() || manifest.ids.empty()) {
     return Status::Corruption("index manifest malformed");
   }
+  return manifest;
+}
+
+Status ModelLake::WriteIndexManifest(const IndexManifest& manifest) {
+  Json j = Json::MakeObject();
+  j.Set("generation", static_cast<int64_t>(manifest.generation));
+  j.Set("ann", manifest.ann);
+  j.Set("bm25", manifest.bm25);
+  j.Set("lsh", manifest.lsh);
+  j.Set("ids", manifest.ids);
+  j.Set("covered_seq", Json(manifest.covered_seq));
+  return WriteFileAtomic(fs_, IndexManifestPath(), j.Dump(2));
+}
+
+Status ModelLake::LoadIndexSnapshots() {
+  MLAKE_ASSIGN_OR_RETURN(IndexManifest manifest, ReadIndexManifest());
+  const uint64_t gen = manifest.generation;
+  const std::string& ann_name = manifest.ann;
+  const std::string& bm25_name = manifest.bm25;
+  const std::string& lsh_name = manifest.lsh;
+  const std::string& ids_name = manifest.ids;
   IndexSet set;
   MLAKE_RETURN_NOT_OK(LoadIndexSetFromFiles(
       JoinPath(IndexDir(), ann_name), JoinPath(IndexDir(), bm25_name),
@@ -560,17 +570,9 @@ Status ModelLake::LoadIndexSnapshots() {
 
 Status ModelLake::GcIndexFilesUnlocked() {
   std::set<std::string> keep = {kIndexManifestName};
-  if (fs_->FileExists(IndexManifestPath())) {
-    auto bytes = fs_->ReadFile(IndexManifestPath());
-    if (bytes.ok()) {
-      auto manifest = Json::Parse(bytes.ValueUnsafe());
-      if (manifest.ok()) {
-        for (const char* key : {"ann", "bm25", "lsh", "ids"}) {
-          std::string name = manifest.ValueUnsafe().GetString(key);
-          if (!name.empty()) keep.insert(name);
-        }
-      }
-    }
+  if (auto manifest = ReadIndexManifest(); manifest.ok()) {
+    const IndexManifest& m = manifest.ValueUnsafe();
+    keep.insert({m.ann, m.bm25, m.lsh, m.ids});
   }
   auto files = fs_->ListDir(IndexDir());
   if (!files.ok()) return Status::OK();  // no index dir yet
@@ -594,14 +596,16 @@ Status ModelLake::CompactIndices() {
   std::lock_guard<std::mutex> run(compact_run_mu_);
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Phase 1 (shared lock): rebuild a fresh single-segment set from the
-  // catalog. Deterministic given the catalog, so the result is
+  // Phase 1 (shared lock): parse the build inputs from the catalog.
+  // The build is deterministic given the catalog, so its result is
   // bit-identical to what a cold Open() would build — which is also why
   // a pass with nothing new since the generation this lake last
   // published (same epoch, same generation, manifest still on disk)
-  // would only rewrite the same files, and is skipped.
+  // would only rewrite the same files, and is skipped. The log seq read
+  // here is the one the generation covers.
   uint64_t epoch;
-  IndexSet fresh;
+  uint64_t covered_seq;
+  IndexInputs inputs;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     epoch = mutation_epoch_;
@@ -611,11 +615,24 @@ Status ModelLake::CompactIndices() {
       ++passes_skipped_;
       return Status::OK();
     }
-    MLAKE_RETURN_NOT_OK(BuildIndexSetFromCatalog(&fresh));
+    covered_seq = journal_->last_committed_seq();
+    MLAKE_RETURN_NOT_OK(ReadIndexInputs(&inputs));
   }
+
+  // Phase 2 (no lake lock): build. Writers proceed meanwhile; one that
+  // lands makes this set stale, and the pass gives up before it
+  // journals or writes anything (a bulk load's next batch overtakes the
+  // background pass its previous batch triggered).
+  IndexSet fresh;
+  MLAKE_RETURN_NOT_OK(BuildIndexSet(std::move(inputs), &fresh));
+  auto abort_pass = [this] {
+    ++passes_aborted_;
+    return Status::Unavailable("lake mutated during compaction; pass aborted");
+  };
+  if (mutation_epoch_ != epoch) return abort_pass();
   MLAKE_RETURN_NOT_OK(fs_->CreateDirs(IndexDir()));
 
-  // Phase 2: journal the intent, then write the four snapshot files
+  // Phase 3: journal the intent, then write the four snapshot files
   // (each via WriteFileAtomic) without the lake lock. A crash anywhere
   // in here leaves the intent pending; recovery deletes whatever files
   // the manifest does not name.
@@ -624,55 +641,50 @@ Status ModelLake::CompactIndices() {
   uint64_t gen;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
+    if (mutation_epoch_ != epoch) return abort_pass();
     gen = index_generation_ + 1;
     MLAKE_ASSIGN_OR_RETURN(intent.seq, journal_->Begin(intent));
   }
-  const std::string ann_name = SnapName("ann", gen);
-  const std::string bm25_name = SnapName("bm25", gen);
-  const std::string lsh_name = SnapName("lsh", gen);
-  const std::string ids_name = SnapName("ids", gen);
+  IndexManifest manifest;
+  manifest.generation = gen;
+  manifest.ann = SnapName("ann", gen);
+  manifest.bm25 = SnapName("bm25", gen);
+  manifest.lsh = SnapName("lsh", gen);
+  manifest.ids = SnapName("ids", gen);
+  manifest.covered_seq = covered_seq;
   Status wrote =
-      fresh.ann->SaveSnapshot(fs_, JoinPath(IndexDir(), ann_name), gen);
+      fresh.ann->SaveSnapshot(fs_, JoinPath(IndexDir(), manifest.ann), gen);
   if (wrote.ok()) {
-    wrote = fresh.bm25.SaveSnapshot(fs_, JoinPath(IndexDir(), bm25_name), gen);
+    wrote = fresh.bm25.SaveSnapshot(fs_, JoinPath(IndexDir(), manifest.bm25),
+                                    gen);
   }
   if (wrote.ok()) {
-    wrote = fresh.lsh->SaveSnapshot(fs_, JoinPath(IndexDir(), lsh_name), gen);
+    wrote = fresh.lsh->SaveSnapshot(fs_, JoinPath(IndexDir(), manifest.lsh),
+                                    gen);
   }
   if (wrote.ok()) {
-    wrote = WriteIdsSnapshot(fresh, JoinPath(IndexDir(), ids_name), gen);
+    wrote = WriteIdsSnapshot(fresh, JoinPath(IndexDir(), manifest.ids), gen);
   }
 
-  // Phase 3 (exclusive lock): publish. If the lake mutated since phase
-  // 1 the fresh set is stale — abort the swap, GC the orphaned files,
-  // and let the next scheduled pass pick up the newer state.
+  // Phase 4 (exclusive lock): publish. If the lake mutated during the
+  // writes the fresh set is stale — abort the swap, GC the orphaned
+  // files, and let the next scheduled pass pick up the newer state.
   Status outcome;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     outcome = wrote;
-    if (outcome.ok() && epoch != mutation_epoch_) {
-      ++passes_aborted_;
-      outcome = Status::Unavailable(
-          "lake mutated during compaction; pass aborted");
-    }
-    if (outcome.ok()) {
-      Json manifest = Json::MakeObject();
-      manifest.Set("generation", static_cast<int64_t>(gen));
-      manifest.Set("ann", ann_name);
-      manifest.Set("bm25", bm25_name);
-      manifest.Set("lsh", lsh_name);
-      manifest.Set("ids", ids_name);
-      outcome = WriteFileAtomic(fs_, IndexManifestPath(), manifest.Dump(2));
-    }
+    if (outcome.ok() && epoch != mutation_epoch_) outcome = abort_pass();
+    if (outcome.ok()) outcome = WriteIndexManifest(manifest);
     if (outcome.ok()) {
       // Serve the base segment from the files just written (mmap) so a
       // long-lived lake sheds the heap copy; if the reload fails for
       // any reason the in-memory fresh set has identical contents.
       IndexSet loaded;
       Status reloaded = LoadIndexSetFromFiles(
-          JoinPath(IndexDir(), ann_name), JoinPath(IndexDir(), bm25_name),
-          JoinPath(IndexDir(), lsh_name), JoinPath(IndexDir(), ids_name),
-          &loaded);
+          JoinPath(IndexDir(), manifest.ann),
+          JoinPath(IndexDir(), manifest.bm25),
+          JoinPath(IndexDir(), manifest.lsh),
+          JoinPath(IndexDir(), manifest.ids), &loaded);
       InstallIndexSet(reloaded.ok() ? std::move(loaded) : std::move(fresh));
       index_generation_ = gen;
       published_generation_ = gen;
@@ -681,15 +693,18 @@ Status ModelLake::CompactIndices() {
     }
     // GC covers both exits: superseded old-generation files after a
     // swap, orphaned new-generation files after an abort or a failed
-    // write. Runs before the intent commits so a crash re-runs it.
+    // write. Runs before the intent resolves so a crash re-runs it.
     Status gc = GcIndexFilesUnlocked();
     if (!gc.ok()) {
       MLAKE_LOG_WARNING << "lake " << options_.root
                         << ": index gc after compaction failed ("
                         << gc.ToString() << ")";
     }
-    Status committed = journal_->Commit(intent.seq);
-    if (outcome.ok()) outcome = committed;
+    // A pass is local housekeeping that is never shipped, so its intent
+    // leaves the journal rather than entering the replayable log: on a
+    // replica a retained entry would hold a seq its leader ships later.
+    Status resolved = journal_->Abort(intent.seq);
+    if (outcome.ok()) outcome = resolved;
     // Under the exclusive lock: IndexStatsJson reads it shared.
     last_compact_ms_ =
         std::chrono::duration<double, std::milli>(
@@ -1466,12 +1481,17 @@ Result<Json> ModelLake::ReplicationLogJson(uint64_t from_seq,
         "log truncated through seq %llu; re-seed from a snapshot",
         static_cast<unsigned long long>(journal_->truncated_upto())));
   }
-  MLAKE_ASSIGN_OR_RETURN(std::vector<storage::Intent> entries,
-                         journal_->Committed(from_seq, max));
-  // Exhaustion is judged before filtering local-only ops: when this scan
-  // drained the log, the replica may fast-forward its watermark to
-  // last_seq even though some seqs below it were never shipped.
-  const bool exhausted = entries.size() < max;
+  auto seed = SeedManifestUnlocked();
+  const uint64_t seed_seq = seed.ok() ? seed.ValueUnsafe().covered_seq : 0;
+  std::vector<storage::Intent> entries;
+  bool exhausted = false;
+  if (from_seq > 1 || seed_seq == 0) {
+    MLAKE_ASSIGN_OR_RETURN(entries, journal_->Committed(from_seq, max));
+    // Exhaustion is judged before filtering local-only ops: when this
+    // scan drained the log, the replica may fast-forward its watermark
+    // to last_seq even though some seqs below it were never shipped.
+    exhausted = entries.size() < max;
+  }
   Json arr = Json::MakeArray();
   for (const storage::Intent& entry : entries) {
     if (entry.op == "compact") continue;  // local housekeeping, not state
@@ -1480,6 +1500,7 @@ Result<Json> ModelLake::ReplicationLogJson(uint64_t from_seq,
   Json out = Json::MakeObject();
   out.Set("epoch", Json(journal_->epoch()));
   out.Set("last_seq", Json(journal_->last_committed_seq()));
+  out.Set("seed_seq", Json(seed_seq));
   out.Set("exhausted", Json(exhausted));
   out.Set("entries", std::move(arr));
   return out;
@@ -1492,62 +1513,97 @@ Result<std::string> ModelLake::ReadBlob(const std::string& digest) const {
 
 std::string ModelLake::ReplicationFingerprint() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  Sha256 hasher;
+  std::vector<SetDigest> kinds;
   for (const std::string& kind : ReplicatedKinds()) {
-    SetDigest::Hash digest = catalog_->KindDigest(kind).bytes();
-    hasher.Update(digest.data(), digest.size());
+    kinds.push_back(catalog_->KindDigest(kind));
   }
-  SetDigest::Hash edges = graph_.edge_digest().bytes();
-  hasher.Update(edges.data(), edges.size());
-  SetDigest::Hash out = hasher.Finish();
-  return ToHex(out.data(), out.size());
+  return FingerprintHex(kinds, graph_.edge_digest());
 }
 
-Result<Json> ModelLake::ReplicationSeedJson() const {
+Result<ModelLake::IndexManifest> ModelLake::SeedManifestUnlocked() const {
+  MLAKE_ASSIGN_OR_RETURN(IndexManifest manifest, ReadIndexManifest());
+  if (manifest.covered_seq == 0 ||
+      manifest.covered_seq > journal_->last_committed_seq() ||
+      journal_->truncated_upto() > manifest.covered_seq) {
+    return Status::NotFound("no index generation a seed can be cut at");
+  }
+  return manifest;
+}
+
+Result<std::string> ModelLake::EncodeReplicationSeed() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (!options_.replication_log) {
     return Status::FailedPrecondition("replication log disabled on this lake");
   }
-  // Docs ship verbatim: the replica re-puts these exact bytes, so a
-  // re-seeded catalog fingerprints identically to the leader's by
-  // construction.
-  Json models = Json::MakeArray();
-  for (const std::string& id : catalog_->ListIds("model")) {  // sorted
-    Json entry = Json::MakeObject();
-    entry.Set("id", id);
-    for (const char* kind : {"model", "card", "embedding"}) {
-      if (Result<Json> doc = catalog_->GetDoc(kind, id); doc.ok()) {
-        entry.Set(kind, doc.MoveValueUnsafe());
-      }
+  SeedContents seed;
+  seed.epoch = journal_->epoch();
+  seed.seq = journal_->last_committed_seq();
+  if (auto manifest = SeedManifestUnlocked(); manifest.ok()) {
+    const IndexManifest& m = manifest.ValueUnsafe();
+    const std::string* names[kSeedIndexFiles] = {&m.ann, &m.bm25, &m.lsh,
+                                                 &m.ids};
+    for (size_t i = 0; i < kSeedIndexFiles; ++i) {
+      MLAKE_ASSIGN_OR_RETURN(seed.index_files[i],
+                             fs_->ReadFile(JoinPath(IndexDir(), *names[i])));
     }
-    models.Append(std::move(entry));
+    seed.seq = m.covered_seq;
+    seed.generation = m.generation;
   }
-  Json datasets = Json::MakeArray();
-  for (const std::string& name : catalog_->ListIds("dataset")) {
-    Json entry = Json::MakeObject();
-    entry.Set("name", name);
-    if (Result<Json> doc = catalog_->GetDoc("dataset", name); doc.ok()) {
-      entry.Set("doc", doc.MoveValueUnsafe());
+
+  // The cut: everything committed entries after seed.seq wrote. Leader
+  // writes after a generation only add (ingest, register_dataset and
+  // record_edge refuse to overwrite; a card update removes the
+  // manifest), so the catalog minus those records is the state at the
+  // cut exactly.
+  std::set<std::string> later_models;
+  std::set<std::string> later_datasets;
+  std::set<std::pair<std::string, std::string>> later_edges;
+  MLAKE_ASSIGN_OR_RETURN(std::vector<storage::Intent> tail,
+                         journal_->Committed(seed.seq + 1));
+  for (const storage::Intent& entry : tail) {
+    if (entry.op == "ingest") {
+      later_models.insert(entry.ids.begin(), entry.ids.end());
+    } else if (entry.op == "register_dataset") {
+      later_datasets.insert(entry.payload.GetString("name"));
+    } else if (entry.op == "record_edge") {
+      later_edges.emplace(entry.payload.GetString("parent"),
+                          entry.payload.GetString("child"));
     }
-    datasets.Append(std::move(entry));
   }
-  Json edges = Json::MakeArray();
-  for (const versioning::VersionEdge& e : graph_.Edges()) {
-    Json ej = Json::MakeObject();
-    ej.Set("parent", e.parent);
-    ej.Set("child", e.child);
-    ej.Set("type", std::string(versioning::EdgeTypeToString(e.type)));
-    ej.Set("confidence", e.confidence);
-    if (!e.params.is_null()) ej.Set("params", e.params);
-    edges.Append(std::move(ej));
+
+  std::vector<SetDigest> kind_digests;
+  for (const std::string& kind : ReplicatedKinds()) {
+    const std::set<std::string>& later =
+        kind == "dataset" ? later_datasets : later_models;
+    SetDigest digest = catalog_->KindDigest(kind);
+    auto& records = seed.records.emplace_back();
+    catalog_->ForEachStoredDoc(
+        kind, [&](std::string_view id, std::string_view bytes) {
+          if (later.count(std::string(id)) > 0) {
+            digest.Remove(RecordHash(kind, id, bytes));
+          } else {
+            records.emplace_back(id, bytes);
+          }
+        });
+    kind_digests.push_back(digest);
   }
-  Json out = Json::MakeObject();
-  out.Set("epoch", Json(journal_->epoch()));
-  out.Set("upto_seq", Json(journal_->last_committed_seq()));
-  out.Set("models", std::move(models));
-  out.Set("edges", std::move(edges));
-  out.Set("datasets", std::move(datasets));
-  return out;
+  SetDigest edge_digest = graph_.edge_digest();
+  uint64_t revision = graph_.revision();
+  for (const versioning::VersionEdge& edge : graph_.Edges()) {
+    if (later_edges.count({edge.parent, edge.child}) > 0) {
+      edge_digest.Remove(versioning::EdgeHash(edge));
+      --revision;
+    } else {
+      seed.edges.push_back(edge);
+    }
+  }
+  // Each later artifact-backed ingest added one graph node.
+  for (const std::string& id : later_models) {
+    if (graph_.HasModel(id) && revision > 0) --revision;
+  }
+  seed.graph_revision = revision;
+  seed.fingerprint = Fingerprint(kind_digests, edge_digest);
+  return EncodeSeed(std::move(seed));
 }
 
 Status ModelLake::ApplyReplicated(
@@ -1665,138 +1721,142 @@ Status ModelLake::ApplyReplicated(
   return applied;
 }
 
-Status ModelLake::ReseedFromManifest(
-    const Json& manifest,
+Status ModelLake::InstallReplicationSeed(
+    const ReplicationSeed& seed,
     const std::function<Result<std::string>(const std::string&)>& fetch_blob) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!options_.replication_log) {
     return Status::FailedPrecondition("replication log disabled on this lake");
   }
-  const Json* models = manifest.Find("models");
-  if (models == nullptr || !models->is_array()) {
-    return Status::Corruption("seed manifest: missing models array");
-  }
-  std::map<std::string, const Json*> seed;  // id -> manifest entry
-  for (const Json& entry : models->AsArray()) {
-    std::string id = entry.GetString("id");
-    if (id.empty()) {
-      return Status::Corruption("seed manifest: model without id");
+  // Everything that can be refused is checked before the first write.
+  const auto& models = seed.records(0);
+  std::vector<std::string> digests(models.size());
+  MLAKE_RETURN_NOT_OK(
+      ParallelFor(options_.exec, 0, models.size(), [&](size_t i) -> Status {
+        auto doc = Json::Parse(models[i].bytes);
+        if (!doc.ok() || !doc.ValueUnsafe().is_object()) {
+          return Status::Corruption("seed: model doc is not an object");
+        }
+        digests[i] = doc.ValueUnsafe().GetString("artifact_digest");
+        return Status::OK();
+      }));
+  std::map<std::string, std::string> missing_blobs;
+  for (const std::string& digest : digests) {
+    if (digest.empty() || blobs_->Contains(digest) ||
+        missing_blobs.count(digest) > 0) {
+      continue;
     }
-    seed[id] = &entry;
-  }
-
-  // 1. Blobs: fetch (and verify) every artifact the seed references that
-  // this lake does not already hold. Content addressing makes re-running
-  // this after a crash idempotent; orphaned local blobs are left for GC.
-  for (const auto& [id, entry] : seed) {
-    const Json* model_doc = entry->Find("model");
-    std::string digest =
-        model_doc == nullptr ? "" : model_doc->GetString("artifact_digest");
-    if (digest.empty() || blobs_->Contains(digest)) continue;
     MLAKE_ASSIGN_OR_RETURN(std::string bytes, fetch_blob(digest));
     if (Sha256::HexDigest(bytes) != digest) {
-      return Status::Corruption("re-seed blob does not match digest " +
-                                digest);
+      return Status::Corruption("seed blob does not match digest " + digest);
     }
+    missing_blobs.emplace(digest, std::move(bytes));
+  }
+
+  // 1. The old generation stops describing the catalog first.
+  MLAKE_RETURN_NOT_OK(InvalidateIndexSnapshotsUnlocked());
+  for (const auto& [digest, bytes] : missing_blobs) {
     MLAKE_ASSIGN_OR_RETURN(std::string stored, blobs_->Put(bytes));
     (void)stored;
   }
 
-  // 2. Catalog: force model/card/embedding docs to the seed's exact
-  // bytes — extra ids are deleted, divergent docs overwritten.
-  for (const char* kind : {"model", "card", "embedding"}) {
-    for (const std::string& id : catalog_->ListIds(kind)) {
-      auto it = seed.find(id);
-      if (it == seed.end() || it->second->Find(kind) == nullptr) {
-        MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc(kind, id));
-      }
+  // 2. Records by diff: local records the seed lacks go, differing or
+  // missing ones are written with one log append per kind.
+  for (size_t k = 0; k < ReplicatedKinds().size(); ++k) {
+    const std::string& kind = ReplicatedKinds()[k];
+    const auto& records = seed.records(k);
+    std::vector<std::string> extra;
+    std::vector<storage::Catalog::StoredDoc> changed;
+    size_t i = 0;
+    catalog_->ForEachStoredDoc(
+        kind, [&](std::string_view id, std::string_view bytes) {
+          for (; i < records.size() && records[i].id < id; ++i) {
+            changed.push_back({records[i].id, records[i].bytes,
+                               records[i].hash});
+          }
+          if (i < records.size() && records[i].id == id) {
+            if (records[i].bytes != bytes) {
+              changed.push_back({records[i].id, records[i].bytes,
+                                 records[i].hash});
+            }
+            ++i;
+          } else {
+            extra.emplace_back(id);
+          }
+        });
+    for (; i < records.size(); ++i) {
+      changed.push_back({records[i].id, records[i].bytes, records[i].hash});
     }
-    for (const auto& [id, entry] : seed) {
-      const Json* doc = entry->Find(kind);
-      if (doc == nullptr) continue;
-      bool same = false;
-      if (Result<Json> existing = catalog_->GetDoc(kind, id); existing.ok()) {
-        same = existing.ValueUnsafe().Dump() == doc->Dump();
-      }
-      if (!same) MLAKE_RETURN_NOT_OK(catalog_->PutDoc(kind, id, *doc));
+    for (const std::string& id : extra) {
+      MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc(kind, id));
     }
+    MLAKE_RETURN_NOT_OK(catalog_->PutStoredDocs(kind, changed));
   }
+  // Seeded artifacts are verified or already held; quarantine resets.
+  for (const std::string& id : catalog_->ListIds("degraded")) {
+    MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc("degraded", id));
+  }
+  degraded_.clear();
 
-  // 3. Datasets, wholesale.
-  std::map<std::string, const Json*> want_datasets;
-  if (const Json* datasets = manifest.Find("datasets");
-      datasets != nullptr && datasets->is_array()) {
-    for (const Json& d : datasets->AsArray()) {
-      std::string name = d.GetString("name");
-      const Json* doc = d.Find("doc");
-      if (name.empty() || doc == nullptr) {
-        return Status::Corruption("seed manifest: bad dataset entry");
-      }
-      want_datasets[name] = doc;
-    }
-  }
-  for (const std::string& name : catalog_->ListIds("dataset")) {
-    if (want_datasets.count(name) == 0) {
-      MLAKE_RETURN_NOT_OK(catalog_->DeleteDoc("dataset", name));
-    }
-  }
-  for (const auto& [name, doc] : want_datasets) {
-    bool same = false;
-    if (Result<Json> existing = catalog_->GetDoc("dataset", name);
-        existing.ok()) {
-      same = existing.ValueUnsafe().Dump() == doc->Dump();
-    }
-    if (!same) MLAKE_RETURN_NOT_OK(catalog_->PutDoc("dataset", name, *doc));
-  }
-
-  // 4. Lineage, wholesale: nodes for artifact-backed models, then the
-  // seed's edges (AddEdge auto-registers any endpoint it is missing).
+  // 3. Lineage, wholesale: nodes for artifact-backed models, then the
+  // seed's edges (already checked to form a valid graph).
   versioning::ModelGraph fresh;
-  for (const auto& [id, entry] : seed) {
-    const Json* model_doc = entry->Find("model");
-    if (model_doc != nullptr &&
-        !model_doc->GetString("artifact_digest").empty()) {
-      fresh.AddModel(id);
-    }
+  for (size_t i = 0; i < models.size(); ++i) {
+    if (!digests[i].empty()) fresh.AddModel(std::string(models[i].id));
   }
-  if (const Json* edges = manifest.Find("edges");
-      edges != nullptr && edges->is_array()) {
-    for (const Json& ej : edges->AsArray()) {
-      versioning::VersionEdge edge;
-      edge.parent = ej.GetString("parent");
-      edge.child = ej.GetString("child");
-      MLAKE_ASSIGN_OR_RETURN(
-          edge.type, versioning::EdgeTypeFromString(ej.GetString("type")));
-      edge.confidence = ej.GetDouble("confidence", 1.0);
-      if (const Json* params = ej.Find("params")) edge.params = *params;
-      MLAKE_RETURN_NOT_OK(fresh.AddEdge(std::move(edge)));
-    }
+  for (const versioning::VersionEdge& edge : seed.edges()) {
+    MLAKE_RETURN_NOT_OK(fresh.AddEdge(edge));
   }
+  fresh.set_revision(seed.graph_revision());
   graph_ = std::move(fresh);
   MLAKE_RETURN_NOT_OK(PersistGraph());
   MLAKE_RETURN_NOT_OK(catalog_->Sync());
 
-  // 5. Every seeded artifact was digest-verified above, so quarantine
-  // state is reset.
-  degraded_.clear();
-
-  // 6. The local log below upto_seq no longer describes what is applied;
-  // truncate it and adopt the leader's epoch so a later promote resumes
-  // from a clean floor.
-  const uint64_t upto =
-      static_cast<uint64_t>(manifest.GetInt64("upto_seq", 0));
-  if (upto > 0) MLAKE_RETURN_NOT_OK(journal_->Truncate(upto));
-  const uint64_t seed_epoch =
-      static_cast<uint64_t>(manifest.GetInt64("epoch", 0));
-  if (seed_epoch > journal_->epoch()) {
-    MLAKE_RETURN_NOT_OK(journal_->SetEpoch(seed_epoch));
+  // 4. The seed's index generation, written and published as this
+  // lake's own.
+  IndexManifest manifest;
+  if (seed.generation() > 0) {
+    MLAKE_RETURN_NOT_OK(fs_->CreateDirs(IndexDir()));
+    manifest.generation = seed.generation();
+    manifest.ann = SnapName("ann", seed.generation());
+    manifest.bm25 = SnapName("bm25", seed.generation());
+    manifest.lsh = SnapName("lsh", seed.generation());
+    manifest.ids = SnapName("ids", seed.generation());
+    manifest.covered_seq = seed.seq();
+    const std::string* names[kSeedIndexFiles] = {
+        &manifest.ann, &manifest.bm25, &manifest.lsh, &manifest.ids};
+    for (size_t i = 0; i < kSeedIndexFiles; ++i) {
+      MLAKE_RETURN_NOT_OK(WriteFileAtomic(fs_, JoinPath(IndexDir(), *names[i]),
+                                          seed.index_file(i)));
+    }
+    MLAKE_RETURN_NOT_OK(WriteIndexManifest(manifest));
   }
 
-  // 7. Rebuild every index from the repaired catalog.
-  MLAKE_RETURN_NOT_OK(InvalidateIndexSnapshotsUnlocked());
-  MLAKE_RETURN_NOT_OK(RebuildIndices());
+  // 5. The local log restarts at the seed's seq under its epoch.
+  MLAKE_RETURN_NOT_OK(journal_->ResetTo(seed.seq()));
+  if (seed.epoch() > journal_->epoch()) {
+    MLAKE_RETURN_NOT_OK(journal_->SetEpoch(seed.epoch()));
+  }
+
+  // 6. Indexes: the shipped generation (reconciled against the catalog
+  // like any snapshot load), or a rebuild from the catalog.
   ++mutation_epoch_;
-  return Status::OK();
+  Status loaded = seed.generation() > 0
+                      ? LoadIndexSnapshots()
+                      : Status::NotFound("seed carries no index generation");
+  if (loaded.ok()) {
+    published_generation_ = index_generation_;
+    published_epoch_ = mutation_epoch_;
+  } else {
+    if (!loaded.IsNotFound()) {
+      MLAKE_LOG_WARNING << "lake " << options_.root
+                        << ": seeded index generation unusable ("
+                        << loaded.ToString() << "); rebuilding from catalog";
+      MLAKE_RETURN_NOT_OK(InvalidateIndexSnapshotsUnlocked());
+    }
+    MLAKE_RETURN_NOT_OK(RebuildIndices());
+  }
+  return GcIndexFilesUnlocked();
 }
 
 uint64_t ModelLake::ReplicationEpoch() const {

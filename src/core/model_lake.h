@@ -19,6 +19,7 @@
 #include "common/result.h"
 #include "common/retry.h"
 #include "common/thread_pool.h"
+#include "core/replication_seed.h"
 #include "embed/embedder.h"
 #include "index/hnsw_index.h"
 #include "index/inverted_index.h"
@@ -421,10 +422,15 @@ class ModelLake : public search::SearchContext {
   bool ReplicationLogEnabled() const { return options_.replication_log; }
 
   /// Shippable batch of committed log entries with seq >= `from_seq`:
-  /// {"epoch", "last_seq", "exhausted", "entries": [intent json...]}.
-  /// Local-only ops ("compact") are filtered out of `entries` but still
-  /// advance `last_seq`; `exhausted` tells the replica it may fast-
-  /// forward its watermark to `last_seq` across such gaps.
+  /// {"epoch", "last_seq", "seed_seq", "exhausted", "entries": [intent
+  /// json...]}. Local-only ops leave gaps: a compaction pass holds a
+  /// seq but never enters the log (older logs that kept "compact"
+  /// entries have them filtered out); `exhausted` tells the replica it
+  /// may fast-forward its watermark to `last_seq` across such gaps.
+  /// `seed_seq` is the seq a replication seed would be cut at when the
+  /// lake has a usable published index generation (0 otherwise); a pull
+  /// from seq 1 — an empty replica — is then answered with no entries,
+  /// since that replica installs the seed instead of the log prefix.
   Result<Json> ReplicationLogJson(uint64_t from_seq, size_t max) const;
 
   /// Raw blob bytes by content digest (the replication blob fetch).
@@ -442,11 +448,15 @@ class ModelLake : public search::SearchContext {
   /// fault detector, not an authenticator).
   std::string ReplicationFingerprint() const;
 
-  /// Full logical state as a re-seed manifest: {"epoch", "upto_seq",
-  /// "models": [{id, card, digest|embedding, metadata_only}...],
-  /// "edges": [...], "datasets": [...]}. Artifact bytes ship separately
-  /// by digest.
-  Result<Json> ReplicationSeedJson() const;
+  /// The replication seed (core/replication_seed.h, DESIGN.md §14): the
+  /// replicated catalog records as stored bytes, the lineage edges and
+  /// the fingerprint of exactly that state. With a usable published
+  /// index generation (its manifest records covered_seq and the log is
+  /// retained past it) the seed is cut at covered_seq — the catalog
+  /// minus what later committed entries wrote — and carries that
+  /// generation's four snapshot files. Otherwise it is cut at the last
+  /// committed seq and carries no files.
+  Result<std::string> EncodeReplicationSeed() const;
 
   /// Applies one shipped log entry at its original seq + epoch through
   /// the normal journaled all-or-nothing ingest path, so the replica's
@@ -457,13 +467,19 @@ class ModelLake : public search::SearchContext {
   Status ApplyReplicated(const storage::Intent& entry,
                          const std::map<std::string, std::string>& blob_bytes);
 
-  /// Divergence repair: diffs this lake against a leader seed manifest
-  /// (ReplicationSeedJson), deletes divergent/extra models, re-ingests
-  /// missing ones (artifact bytes via `fetch_blob`), replaces lineage
-  /// and datasets wholesale, rebuilds the indexes from the repaired
-  /// catalog and truncates the local log to the seed's upto_seq.
-  Status ReseedFromManifest(
-      const Json& manifest,
+  /// Makes this lake's replicated state exactly `seed`'s: fetches
+  /// (digest-verified, via `fetch_blob`) any artifact it lacks, installs
+  /// the records by diff (deleting local records the seed lacks), sets
+  /// lineage wholesale, resets the local log to the seed's seq and
+  /// adopts its epoch. A seed carrying an index generation is written
+  /// to <root>/index and adopted as this lake's published generation at
+  /// the current mutation epoch, so the next CompactIndices is a no-op;
+  /// otherwise the indexes are rebuilt from the catalog. The old
+  /// manifest is removed before any record changes, so a crash part
+  /// way reopens on a catalog rebuild; installing the same seed again
+  /// completes it.
+  Status InstallReplicationSeed(
+      const ReplicationSeed& seed,
       const std::function<Result<std::string>(const std::string&)>&
           fetch_blob);
 
@@ -602,9 +618,11 @@ class ModelLake : public search::SearchContext {
   /// generation), and swaps the lake onto the snapshot-backed result.
   /// Because the fold is a deterministic rebuild in catalog order, the
   /// compacted index answers queries identically to a from-scratch
-  /// rebuild. Safe on a live lake; returns Unavailable (and changes
-  /// nothing) when a mutation lands mid-pass — the caller or the next
-  /// background trigger retries. A no-op pass — no mutation since the
+  /// rebuild. Safe on a live lake: only the catalog parse holds the
+  /// lock (shared), the build holds none. Returns Unavailable (and
+  /// changes nothing) when a mutation lands mid-pass — before the files
+  /// are written when it lands during the build — and the caller or the
+  /// next background trigger retries. A no-op pass — no mutation since the
   /// last generation this lake published, whose manifest is still in
   /// place — returns OK at once: it builds and writes nothing and keeps
   /// the generation.
@@ -706,11 +724,45 @@ class ModelLake : public search::SearchContext {
     std::vector<std::string> dataset_names;
   };
 
+  /// What a from-scratch index build reads from the catalog, in
+  /// catalog order: parsed under the lake lock (shared suffices), then
+  /// built into an IndexSet without it.
+  struct IndexInputs {
+    std::vector<std::string> model_ids;
+    std::vector<std::string> digests;
+    std::vector<std::string> card_ids;
+    std::vector<std::string> texts;
+    std::vector<std::string> embedding_ids;
+    std::vector<std::vector<float>> vectors;
+    std::vector<std::string> dataset_names;
+    std::vector<index::MinHashSignature> signatures;
+  };
+
+  /// The generation <root>/index/MANIFEST.json publishes.
+  struct IndexManifest {
+    uint64_t generation = 0;
+    /// Snapshot file names inside IndexDir().
+    std::string ann, bm25, lsh, ids;
+    /// The last committed log seq whose state the generation holds
+    /// exactly (read with the catalog the pass built from); 0 when the
+    /// manifest predates the field. What a replication seed cuts at.
+    uint64_t covered_seq = 0;
+  };
+
   Status Initialize();
   Status RebuildIndices();
-  /// Builds a fresh IndexSet from the catalog (parallel over
-  /// options.exec, deterministic in catalog order).
-  Status BuildIndexSetFromCatalog(IndexSet* out) const;
+  /// Parses the build inputs (parallel over options.exec). Caller holds
+  /// mu_; shared suffices.
+  Status ReadIndexInputs(IndexInputs* out) const;
+  /// Builds a fresh IndexSet from `inputs`, deterministic in their
+  /// order. Touches no lake state, so it needs no lock.
+  Status BuildIndexSet(IndexInputs inputs, IndexSet* out) const;
+  /// The manifest a replication seed may be cut at: present, recording
+  /// a covered_seq, and with the log retained past it. Caller holds mu_.
+  Result<IndexManifest> SeedManifestUnlocked() const;
+  /// Reads MANIFEST.json; NotFound when there is none.
+  Result<IndexManifest> ReadIndexManifest() const;
+  Status WriteIndexManifest(const IndexManifest& manifest);
   void InstallIndexSet(IndexSet set);
   /// Open()-time index bring-up: snapshot load + reconcile when enabled
   /// and present, full catalog rebuild otherwise.
@@ -898,8 +950,9 @@ class ModelLake : public search::SearchContext {
   /// (0 = built from the catalog, no snapshot loaded).
   uint64_t index_generation_ = 0;
   /// Bumped under the exclusive lock by every index-affecting mutation;
-  /// a compaction pass aborts its swap when the epoch moved under it.
-  uint64_t mutation_epoch_ = 0;
+  /// a compaction pass aborts when the epoch moved under it. Atomic
+  /// because the pass re-reads it after its lock-free build.
+  std::atomic<uint64_t> mutation_epoch_{0};
   double last_compact_ms_ = 0.0;
   /// Mutation epoch and generation of the last pass this lake published
   /// (generation 0 = none yet): while both still hold, a pass would

@@ -41,6 +41,10 @@ void SnapshotWriter::AddSection(std::string_view name, const void* data,
       std::string(static_cast<const char*>(data), bytes));
 }
 
+void SnapshotWriter::AddSection(std::string_view name, std::string data) {
+  sections_.emplace_back(std::string(name), std::move(data));
+}
+
 Result<std::string> SnapshotWriter::Serialize() const {
   for (size_t i = 0; i < sections_.size(); ++i) {
     if (sections_[i].first.empty() ||
@@ -158,17 +162,37 @@ Result<SnapshotReader> SnapshotReader::Open(Fs* fs, const std::string& path,
   if (mapped.ok()) {
     reader.map_ = mapped.MoveValueUnsafe();
     reader.bytes_ = reader.map_.bytes();
-  } else {
-    // Fault-injecting and exotic filesystems refuse mmap; fall back to
-    // a copying read into an 8-byte-aligned buffer.
-    MLAKE_ASSIGN_OR_RETURN(std::string data, fs->ReadFile(path));
-    reader.owned_.resize((data.size() + 7) / 8);
-    std::memcpy(reader.owned_.data(), data.data(), data.size());
-    reader.bytes_ = std::string_view(
-        reinterpret_cast<const char*>(reader.owned_.data()), data.size());
+    MLAKE_RETURN_NOT_OK(reader.Validate(expected_kind, path));
+    return reader;
   }
+  // Fault-injecting and exotic filesystems refuse mmap; fall back to a
+  // copying read into an 8-byte-aligned buffer.
+  MLAKE_ASSIGN_OR_RETURN(std::string data, fs->ReadFile(path));
+  reader.Adopt(data);
   MLAKE_RETURN_NOT_OK(reader.Validate(expected_kind, path));
   return reader;
+}
+
+Result<SnapshotReader> SnapshotReader::FromBytes(std::string_view data,
+                                                 SnapshotKind expected_kind) {
+  SnapshotReader reader;
+  reader.Adopt(data);
+  MLAKE_RETURN_NOT_OK(reader.Validate(expected_kind, "<memory>"));
+  return reader;
+}
+
+void SnapshotReader::Adopt(std::string_view data) {
+  owned_.resize((data.size() + 7) / 8);
+  if (!data.empty()) std::memcpy(owned_.data(), data.data(), data.size());
+  bytes_ = std::string_view(reinterpret_cast<const char*>(owned_.data()),
+                            data.size());
+}
+
+std::vector<std::string> SnapshotReader::SectionNames() const {
+  std::vector<std::string> names;
+  names.reserve(entries_.size());
+  for (const Entry& e : entries_) names.push_back(e.name);
+  return names;
 }
 
 bool SnapshotReader::HasSection(std::string_view name) const {

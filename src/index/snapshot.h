@@ -41,9 +41,8 @@ enum class SnapshotKind : uint32_t {
   kInverted = 2,
   kMinHashLsh = 3,
   kLakeIds = 4,
-  /// Replication re-seed manifest (one "manifest" JSON section) shipped
-  /// leader → replica for divergence repair; generation = the leader's
-  /// log seq the seed was cut at.
+  /// Replication seed (core/replication_seed.h) shipped leader →
+  /// replica; generation = the leader's log seq the seed was cut at.
   kReplicationSeed = 5,
 };
 
@@ -58,6 +57,8 @@ class SnapshotWriter {
   /// Adds a section. Names are at most 15 bytes and must be unique;
   /// violations fail at WriteTo/Serialize time.
   void AddSection(std::string_view name, const void* data, size_t bytes);
+  /// Adds a section that takes ownership of `data` (no copy).
+  void AddSection(std::string_view name, std::string data);
 
   template <typename T>
   void AddArray(std::string_view name, const std::vector<T>& v) {
@@ -86,6 +87,14 @@ class SnapshotReader {
   /// Corruption/InvalidArgument error — never UB.
   static Result<SnapshotReader> Open(Fs* fs, const std::string& path,
                                      SnapshotKind expected_kind);
+
+  /// Validates a container held in memory (copied into an aligned
+  /// buffer the reader owns), with the same checks as Open.
+  static Result<SnapshotReader> FromBytes(std::string_view data,
+                                          SnapshotKind expected_kind);
+
+  /// Section names in TOC order.
+  std::vector<std::string> SectionNames() const;
 
   SnapshotReader() = default;
   SnapshotReader(SnapshotReader&&) = default;
@@ -120,6 +129,8 @@ class SnapshotReader {
   };
 
   Status Validate(SnapshotKind expected_kind, const std::string& path);
+  /// Copies `data` into owned_ (8-byte aligned) and points bytes_ at it.
+  void Adopt(std::string_view data);
 
   MmapFile map_;
   // Fallback buffer (u64-aligned so typed section views are aligned).

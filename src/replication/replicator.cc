@@ -7,7 +7,6 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "governance/governance.h"
-#include "index/snapshot.h"
 #include "server/http.h"
 
 namespace mlake::replication {
@@ -16,9 +15,6 @@ namespace {
 
 /// Name of the durable watermark file under the replica lake's root.
 constexpr char kStateFile[] = "replica_state.json";
-/// Scratch file the re-seed container is validated through (the PR-6
-/// snapshot reader wants a path on the Fs seam).
-constexpr char kReseedFile[] = "reseed.snap";
 
 /// Reconstructs a Status from a leader error response (same mapping the
 /// router uses) so fencing/truncation signals keep their code family
@@ -86,6 +82,7 @@ Status Replicator::LoadState() {
     }
     state_seq = static_cast<uint64_t>(j.GetInt64("applied_seq", 0));
     state_epoch = static_cast<uint64_t>(j.GetInt64("epoch", 0));
+    seed_pending_ = j.GetBool("seed_pending", false);
   }
   // The lake's own journal is equally authoritative: a crash after an
   // entry committed but before the watermark write leaves the state
@@ -103,6 +100,7 @@ Status Replicator::PersistState() {
   Json j = Json::MakeObject();
   j.Set("applied_seq", Json(applied_seq_.load()));
   j.Set("epoch", Json(epoch_.load()));
+  if (seed_pending_) j.Set("seed_pending", true);
   return WriteFileAtomic(fs_, state_path_, j.Dump());
 }
 
@@ -124,6 +122,12 @@ Result<size_t> Replicator::SyncOnce() {
   // Bounded so a leader that keeps answering "more" (or a reseed loop)
   // cannot wedge the caller forever.
   for (int rounds = 0; rounds < 10000; ++rounds) {
+    if (seed_pending_) {
+      // A seed install was cut short (crash): the catalog may be half
+      // installed, so finish with a seed before replaying any entry.
+      MLAKE_RETURN_NOT_OK(ReseedFromLeaderLocked());
+      continue;
+    }
     std::string path =
         "/v1/replication/log?from=" + std::to_string(applied_seq_ + 1) +
         "&max=" + std::to_string(options_.batch_max);
@@ -140,6 +144,12 @@ Result<size_t> Replicator::SyncOnce() {
     }
     MLAKE_ASSIGN_OR_RETURN(Json batch,
                            Json::Parse(response.ValueUnsafe().body));
+    if (applied_seq_.load() == 0 && batch.GetInt64("seed_seq", 0) > 0) {
+      // An empty replica bootstraps from the leader's published index
+      // generation rather than replaying the log prefix it covers.
+      MLAKE_RETURN_NOT_OK(ReseedFromLeaderLocked());
+      continue;
+    }
     Status batch_status = ApplyBatchLocked(batch, &applied);
     if (batch_status.IsCorruption()) {
       // The lake holds a different answer than the log claims — repair
@@ -281,31 +291,39 @@ Status Replicator::ReseedFromLeaderLocked() {
   if (response.ValueUnsafe().status != 200) {
     return StatusFromResponse(response.ValueUnsafe());
   }
-  MLAKE_ASSIGN_OR_RETURN(Json j, Json::Parse(response.ValueUnsafe().body));
-  MLAKE_ASSIGN_OR_RETURN(std::string container,
-                         server::Base64Decode(j.GetString("container_b64")));
-  // Validate through the snapshot container (magic + CRC'd TOC) before
-  // trusting the manifest; the reader wants a path on the Fs seam.
-  std::string scratch = JoinPath(lake_->options().root, kReseedFile);
-  MLAKE_RETURN_NOT_OK(WriteFileAtomic(fs_, scratch, container));
+  return InstallSeedLocked(response.ValueUnsafe().body);
+}
+
+Status Replicator::InstallSeed(std::string_view seed_bytes) {
+  std::lock_guard<std::mutex> lock(apply_mu_);
+  return InstallSeedLocked(seed_bytes);
+}
+
+Status Replicator::InstallSeedLocked(std::string_view seed_bytes) {
+  // Verified whole before anything changes: a refused seed leaves the
+  // lake, the watermark and the state file as they were.
   MLAKE_ASSIGN_OR_RETURN(
-      index::SnapshotReader reader,
-      index::SnapshotReader::Open(fs_, scratch,
-                                  index::SnapshotKind::kReplicationSeed));
-  MLAKE_ASSIGN_OR_RETURN(std::string_view manifest_bytes,
-                         reader.Section("manifest"));
-  MLAKE_ASSIGN_OR_RETURN(Json manifest, Json::Parse(manifest_bytes));
-  MLAKE_RETURN_NOT_OK(lake_->ReseedFromManifest(
-      manifest, [this](const std::string& digest) -> Result<std::string> {
+      core::ReplicationSeed seed,
+      core::ReplicationSeed::Parse(seed_bytes, lake_->options().exec));
+  if (seed.epoch() < epoch_.load()) {
+    rejected_stale_epoch_.fetch_add(1, std::memory_order_relaxed);
+    return Status::FailedPrecondition(
+        "stale leader epoch " + std::to_string(seed.epoch()) +
+        " < replica epoch " + std::to_string(epoch_.load()));
+  }
+  // Durable before the first write: a replica killed mid-install
+  // reopens knowing its catalog may be half installed.
+  seed_pending_ = true;
+  MLAKE_RETURN_NOT_OK(PersistState());
+  MLAKE_RETURN_NOT_OK(lake_->InstallReplicationSeed(
+      seed, [this](const std::string& digest) -> Result<std::string> {
         return FetchBlob(digest);
       }));
-  uint64_t upto = static_cast<uint64_t>(manifest.GetInt64("upto_seq", 0));
-  uint64_t seed_epoch = static_cast<uint64_t>(manifest.GetInt64("epoch", 0));
-  if (upto > applied_seq_.load()) applied_seq_ = upto;
-  if (seed_epoch > epoch_.load()) epoch_ = seed_epoch;
+  applied_seq_ = seed.seq();
+  if (seed.epoch() > epoch_.load()) epoch_ = seed.epoch();
+  seed_pending_ = false;
   MLAKE_RETURN_NOT_OK(PersistState());
-  (void)fs_->RemoveFile(scratch);
-  reseeds_.fetch_add(1, std::memory_order_relaxed);
+  seed_installs_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -351,7 +369,7 @@ Json Replicator::StatszJson() const {
   out.Set("epoch", Json(epoch_.load()));
   out.Set("entries_applied", Json(entries_applied_.load()));
   out.Set("polls", Json(polls_.load()));
-  out.Set("reseeds", Json(reseeds_.load()));
+  out.Set("seed_installs", Json(seed_installs_.load()));
   out.Set("rejected_stale_epoch", Json(rejected_stale_epoch_.load()));
   out.Set("pull_errors", Json(pull_errors_.load()));
   out.Set("synced", synced_.load());

@@ -28,22 +28,32 @@
 // past everything seen and stops following; the server then routes
 // writes here.
 //
-// Divergence: every `fingerprint_interval_polls` caught-up polls the
-// replica compares logical-state fingerprints with the leader. Both
-// sides read ModelLake::ReplicationFingerprint, which is O(1): the
-// catalog and the lineage graph keep order-independent digests up to
-// date on every write, so an exchange costs microseconds, not a scan
-// of the lake. A mismatch (or a log GET answered 409 because the
-// leader truncated past our watermark, or a Corruption during apply)
-// triggers a re-seed: the leader's full manifest arrives framed in an
-// MLSNAP01 snapshot container (CRC-validated), is diffed against local
-// state, and repairs bring the replica to the seed's upto_seq exactly.
+// Seeds: an empty replica (watermark 0) whose first log pull
+// advertises a `seed_seq` — the leader has a published index generation
+// — installs a replication seed (core/replication_seed.h, GET
+// /v1/replication/seed) instead of replaying the log prefix: the
+// leader's catalog records as stored bytes, its lineage edges and the
+// generation's four snapshot files, cut at the seq the generation
+// covers. The replica then replays only the tail through the normal
+// apply path. The same seed repairs divergence: every
+// `fingerprint_interval_polls` caught-up polls the replica compares
+// logical-state fingerprints with the leader. Both sides read
+// ModelLake::ReplicationFingerprint, which is O(1): the catalog and the
+// lineage graph keep order-independent digests up to date on every
+// write, so an exchange costs microseconds, not a scan of the lake. A
+// mismatch (or a log GET answered 409 because the leader truncated past
+// our watermark, or a Corruption during apply) installs a fresh seed.
+// A seed is verified whole (checksums, shapes, its fingerprint against
+// its own records) before anything changes, and `seed_pending` in the
+// state file marks an install in progress, so a replica killed part
+// way re-installs before it replays any entry.
 
 #include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/fs.h"
@@ -68,8 +78,8 @@ struct ReplicaOptions {
   int fingerprint_interval_polls = 8;
   /// Per-round-trip HTTP timeout for leader calls.
   int timeout_ms = 10000;
-  /// Filesystem seam for the durable watermark + re-seed container
-  /// (FaultInjectingFs in crash tests). nullptr = real filesystem.
+  /// Filesystem seam for the durable watermark (FaultInjectingFs in
+  /// crash tests). nullptr = real filesystem.
   Fs* fs = nullptr;
 };
 
@@ -102,6 +112,12 @@ class Replicator : public server::ReplicationControl {
   /// up) and re-seeds on mismatch. Exposed for tests.
   Status CheckDivergence();
 
+  /// Installs a replication seed (the body GET /v1/replication/seed
+  /// answers) and moves the watermark to its seq. A seed that fails
+  /// verification is refused with the replica unchanged. The pull path
+  /// runs exactly this; exposed for tests and pushed seeds.
+  Status InstallSeed(std::string_view seed_bytes);
+
   // ---- server::ReplicationControl --------------------------------------
   bool IsReplica() const override { return is_replica_.load(); }
   uint64_t AppliedSeq() const override { return applied_seq_.load(); }
@@ -121,7 +137,10 @@ class Replicator : public server::ReplicationControl {
   int StaleRetryAfterSeconds() const override;
 
   uint64_t epoch() const { return epoch_.load(); }
-  uint64_t reseeds() const { return reseeds_.load(); }
+  /// Seeds installed since Open (bootstrap and divergence repair).
+  uint64_t seed_installs() const { return seed_installs_.load(); }
+  /// Log entries applied since Open.
+  uint64_t entries_applied() const { return entries_applied_.load(); }
 
  private:
   Replicator(core::ModelLake* lake, ReplicaOptions options);
@@ -142,7 +161,9 @@ class Replicator : public server::ReplicationControl {
   Result<bool> AlreadyApplied(const storage::Intent& entry) const;
 
   Result<std::string> FetchBlob(const std::string& digest);
+  /// Fetches the leader's seed and installs it.
   Status ReseedFromLeaderLocked();
+  Status InstallSeedLocked(std::string_view seed_bytes);
   Status CheckDivergenceLocked();
 
   void PullLoop();
@@ -165,6 +186,9 @@ class Replicator : public server::ReplicationControl {
   /// until then leader_last_seq_ is not trustworthy and the node must
   /// not claim to be caught up.
   std::atomic<bool> synced_{false};
+  /// A seed install began and has not finished (durable in the state
+  /// file); the next sync installs a seed before anything else.
+  bool seed_pending_ = false;
 
   std::atomic<bool> running_{false};
   std::thread puller_;
@@ -172,7 +196,7 @@ class Replicator : public server::ReplicationControl {
   // Observability (surfaced via StatszJson).
   std::atomic<uint64_t> entries_applied_{0};
   std::atomic<uint64_t> polls_{0};
-  std::atomic<uint64_t> reseeds_{0};
+  std::atomic<uint64_t> seed_installs_{0};
   std::atomic<uint64_t> rejected_stale_epoch_{0};
   std::atomic<uint64_t> pull_errors_{0};
 };

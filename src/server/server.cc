@@ -10,7 +10,6 @@
 #include "common/hash.h"
 #include "common/sharding.h"
 #include "common/string_util.h"
-#include "index/snapshot.h"
 #include "storage/model_artifact.h"
 #include "versioning/model_graph.h"
 
@@ -662,21 +661,15 @@ HttpResponse LakeServer::HandleReplicationFingerprint(RequestContext&) const {
 }
 
 HttpResponse LakeServer::HandleReplicationSeed(RequestContext&) const {
-  auto manifest = lake_->ReplicationSeedJson();
-  if (!manifest.ok()) return ErrorResponse(manifest.status());
-  // Framed in the PR-6 snapshot container (magic, CRC'd TOC), so the
-  // replica validates integrity before trusting a multi-megabyte seed.
-  uint64_t upto = static_cast<uint64_t>(
-      manifest.ValueUnsafe().GetInt64("upto_seq", 0));
-  index::SnapshotWriter writer(index::SnapshotKind::kReplicationSeed, upto);
-  std::string dump = manifest.ValueUnsafe().Dump();
-  writer.AddSection("manifest", dump.data(), dump.size());
-  auto container = writer.Serialize();
-  if (!container.ok()) return ErrorResponse(container.status());
-  Json out = Json::MakeObject();
-  out.Set("upto_seq", Json(upto));
-  out.Set("container_b64", Base64Encode(container.ValueUnsafe()));
-  return JsonResponse(std::move(out));
+  // One MLSNAP01 container (core/replication_seed.h) as the raw body:
+  // the replica checks every section's checksum and the seed's own
+  // fingerprint before trusting any of it.
+  auto seed = lake_->EncodeReplicationSeed();
+  if (!seed.ok()) return ErrorResponse(seed.status());
+  HttpResponse response;
+  response.content_type = "application/octet-stream";
+  response.body = seed.MoveValueUnsafe();
+  return response;
 }
 
 HttpResponse LakeServer::HandleReplicationShip(RequestContext& ctx) const {

@@ -40,7 +40,7 @@
 //   GET  /v1/replication/log?from=N&max=M    committed log entries
 //   GET  /v1/replication/blob/{digest}       artifact bytes (b64)
 //   GET  /v1/replication/fingerprint         logical-state fingerprint
-//   GET  /v1/replication/seed                re-seed snapshot container
+//   GET  /v1/replication/seed                replication seed (binary)
 //   POST /v1/replication/ship                leader-pushed log batch
 //   POST /v1/replication/promote             replica -> leader
 //

@@ -37,8 +37,9 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(
   return catalog;
 }
 
-void Catalog::UpdateDigest(const std::string& kind, const std::string& id,
-                           const KvPrior& prior, const std::string* current) {
+void Catalog::UpdateDigest(const std::string& kind, std::string_view id,
+                           const KvPrior& prior,
+                           const SetDigest::Hash* current) {
   if (!prior.applied) return;
   auto it = summaries_.find(kind);
   if (it == summaries_.end()) return;
@@ -48,7 +49,7 @@ void Catalog::UpdateDigest(const std::string& kind, const std::string& id,
     --summary.count;
   }
   if (current != nullptr) {
-    summary.digest.Add(RecordHash(kind, id, *current));
+    summary.digest.Add(*current);
     ++summary.count;
   }
 }
@@ -59,8 +60,39 @@ Status Catalog::PutDoc(const std::string& kind, const std::string& id,
   const std::string bytes = doc.Dump();
   KvPrior prior;
   Status st = kv_->Put(KeyFor(kind, id), bytes, &prior);
-  UpdateDigest(kind, id, prior, &bytes);
+  if (prior.applied && summaries_.count(kind) > 0) {
+    const SetDigest::Hash hash = RecordHash(kind, id, bytes);
+    UpdateDigest(kind, id, prior, &hash);
+  }
   return st;
+}
+
+Status Catalog::PutStoredDocs(const std::string& kind,
+                              const std::vector<StoredDoc>& docs) {
+  std::vector<std::pair<std::string, std::string_view>> items;
+  items.reserve(docs.size());
+  for (const StoredDoc& doc : docs) {
+    const std::string id(doc.id);
+    MLAKE_RETURN_NOT_OK(ValidateKey(kind, id));
+    items.emplace_back(KeyFor(kind, id), doc.bytes);
+  }
+  std::vector<KvPrior> priors;
+  Status st = kv_->PutBatch(items, &priors);
+  for (size_t i = 0; i < priors.size(); ++i) {
+    UpdateDigest(kind, docs[i].id, priors[i], &docs[i].hash);
+  }
+  return st;
+}
+
+void Catalog::ForEachStoredDoc(
+    const std::string& kind,
+    const std::function<void(std::string_view id, std::string_view bytes)>&
+        fn) const {
+  const std::string prefix = kind + "/";
+  kv_->ForEachPrefix(prefix,
+                     [&](const std::string& key, const std::string& value) {
+                       fn(std::string_view(key).substr(prefix.size()), value);
+                     });
 }
 
 Result<Json> Catalog::GetDoc(const std::string& kind,

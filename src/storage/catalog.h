@@ -1,9 +1,11 @@
 #ifndef MLAKE_STORAGE_CATALOG_H_
 #define MLAKE_STORAGE_CATALOG_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
@@ -42,6 +44,27 @@ class Catalog {
 
   Result<Json> GetDoc(const std::string& kind, const std::string& id) const;
 
+  /// A document in stored form (the exact bytes GetDoc parses) with its
+  /// RecordHash(kind, id, bytes) — for bulk installs that hashed the
+  /// bytes already and vouch for each hash.
+  struct StoredDoc {
+    std::string_view id;
+    std::string_view bytes;
+    SetDigest::Hash hash;
+  };
+
+  /// Writes `docs` of `kind` verbatim with one log append, replacing any
+  /// existing documents of the same ids.
+  Status PutStoredDocs(const std::string& kind,
+                       const std::vector<StoredDoc>& docs);
+
+  /// Calls fn(id, stored bytes) for every document of `kind`, in id
+  /// order, without copying or parsing.
+  void ForEachStoredDoc(
+      const std::string& kind,
+      const std::function<void(std::string_view id, std::string_view bytes)>&
+          fn) const;
+
   bool Contains(const std::string& kind, const std::string& id) const;
 
   Status DeleteDoc(const std::string& kind, const std::string& id);
@@ -73,8 +96,8 @@ class Catalog {
   /// Moves `kind`'s digest and count from `prior` to `current`
   /// (nullptr = absent) when the write reached the index and the kind
   /// is digested.
-  void UpdateDigest(const std::string& kind, const std::string& id,
-                    const KvPrior& prior, const std::string* current);
+  void UpdateDigest(const std::string& kind, std::string_view id,
+                    const KvPrior& prior, const SetDigest::Hash* current);
 
   struct KindSummary {
     SetDigest digest;

@@ -259,6 +259,25 @@ Status IntentJournal::Truncate(uint64_t upto_seq) {
   return Status::OK();
 }
 
+Status IntentJournal::ResetTo(uint64_t seq) {
+  MLAKE_RETURN_NOT_OK(
+      WriteFileAtomic(fs_, JoinPath(dir_, std::string(kTruncatedMarker)),
+                      std::to_string(seq) + "\n"));
+  truncated_upto_ = seq;
+  last_committed_seq_ = seq;
+  if (seq >= next_seq_) next_seq_ = seq + 1;
+  MLAKE_ASSIGN_OR_RETURN(std::vector<std::string> names, fs_->ListDir(dir_));
+  for (const std::string& name : names) {
+    if (SeqFromName(name, kCommittedSuffix) != 0) {
+      MLAKE_RETURN_NOT_OK(fs_->RemoveFile(JoinPath(dir_, name)));
+    }
+  }
+  if (FsyncEnabled()) {
+    MLAKE_RETURN_NOT_OK(fs_->SyncDir(dir_));
+  }
+  return Status::OK();
+}
+
 Status IntentJournal::SetEpoch(uint64_t epoch) {
   if (epoch < epoch_) {
     return Status::FailedPrecondition(

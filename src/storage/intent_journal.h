@@ -113,7 +113,16 @@ class IntentJournal {
   /// nor let a reopen reuse a truncated seq.
   Status Truncate(uint64_t upto_seq);
 
-  /// Highest seq ever removed by Truncate() (0 when never truncated).
+  /// Replica seed adoption: durably makes `seq` the log floor and
+  /// removes every committed entry, whatever its seq, so the entries
+  /// after the seed can be applied at the leader's positions. Unlike
+  /// Truncate the floor may move down (a seed cut below this journal's
+  /// old high-water mark). The marker is written before any entry is
+  /// removed, so a crash mid-reset reopens with the floor in place.
+  Status ResetTo(uint64_t seq);
+
+  /// The log floor: committed entries at or below it are gone (Truncate
+  /// raises it; ResetTo sets it). 0 when never truncated.
   uint64_t truncated_upto() const { return truncated_upto_; }
 
   /// Replication epoch (term). 0 until SetEpoch persists a value; the

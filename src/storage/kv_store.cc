@@ -115,8 +115,11 @@ Status KvStore::Replay() {
 
 Status KvStore::AppendRecord(uint8_t type, const std::string& key,
                              std::string_view value) {
-  std::string record = EncodeRecord(type, key, value);
-  Status st = fs_->AppendFile(path_, record);
+  return AppendEncoded(EncodeRecord(type, key, value));
+}
+
+Status KvStore::AppendEncoded(const std::string& records) {
+  Status st = fs_->AppendFile(path_, records);
   if (!st.ok()) {
     // The append may have landed partially (short write). Cut the log
     // back to the last known-good length so later appends do not write
@@ -134,7 +137,7 @@ Status KvStore::AppendRecord(uint8_t type, const std::string& key,
     }
     return st;
   }
-  log_bytes_ += record.size();
+  log_bytes_ += records.size();
   return Status::OK();
 }
 
@@ -150,6 +153,31 @@ Status KvStore::Put(const std::string& key, std::string_view value,
   live_bytes_ += RecordSize(key, value);
   it->second.assign(value);
   if (prior != nullptr) prior->applied = true;
+  return MaybeAutoCompact();
+}
+
+Status KvStore::PutBatch(
+    const std::vector<std::pair<std::string, std::string_view>>& items,
+    std::vector<KvPrior>* priors) {
+  std::string records;
+  for (const auto& [key, value] : items) {
+    if (key.empty()) return Status::InvalidArgument("empty key");
+    records += EncodeRecord(kTypePut, key, value);
+  }
+  if (priors != nullptr) priors->assign(items.size(), KvPrior());
+  if (items.empty()) return Status::OK();
+  MLAKE_RETURN_NOT_OK(AppendEncoded(records));
+  for (size_t i = 0; i < items.size(); ++i) {
+    const auto& [key, value] = items[i];
+    auto [it, inserted] = index_.try_emplace(key);
+    if (!inserted) {
+      live_bytes_ -= RecordSize(key, it->second);
+      if (priors != nullptr) (*priors)[i].value = std::move(it->second);
+    }
+    live_bytes_ += RecordSize(key, value);
+    it->second.assign(value);
+    if (priors != nullptr) (*priors)[i].applied = true;
+  }
   return MaybeAutoCompact();
 }
 

@@ -6,6 +6,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/fs.h"
@@ -65,6 +67,14 @@ class KvStore {
   Status Put(const std::string& key, std::string_view value,
              KvPrior* prior = nullptr);
 
+  /// Writes every (key, value) pair with one log append — the bulk
+  /// path for installing many records at once. On an append failure
+  /// nothing reaches the index (the torn tail is cut back, as for Put).
+  /// `priors` (optional) receives one KvPrior per pair, as Put's.
+  Status PutBatch(
+      const std::vector<std::pair<std::string, std::string_view>>& items,
+      std::vector<KvPrior>* priors = nullptr);
+
   Result<std::string> Get(const std::string& key) const;
 
   bool Contains(const std::string& key) const;
@@ -112,6 +122,9 @@ class KvStore {
   Status Replay();
   Status AppendRecord(uint8_t type, const std::string& key,
                       std::string_view value);
+  /// Appends pre-encoded records; cuts a failed append back to the last
+  /// known-good length.
+  Status AppendEncoded(const std::string& records);
   Status MaybeAutoCompact();
   static std::string EncodeRecord(uint8_t type, const std::string& key,
                                   std::string_view value);

@@ -42,9 +42,6 @@ Result<EdgeType> EdgeTypeFromString(std::string_view s) {
   return Status::InvalidArgument("unknown edge type: " + std::string(s));
 }
 
-namespace {
-
-/// SHA-256 of the edge's canonical text (see ModelGraph::edge_digest).
 SetDigest::Hash EdgeHash(const VersionEdge& edge) {
   Sha256 hasher;
   hasher.Update(StrFormat(
@@ -53,8 +50,6 @@ SetDigest::Hash EdgeHash(const VersionEdge& edge) {
       edge.params.is_null() ? "" : edge.params.Dump().c_str()));
   return hasher.Finish();
 }
-
-}  // namespace
 
 void ModelGraph::AddModel(const std::string& id) {
   if (nodes_.insert(id).second) ++revision_;

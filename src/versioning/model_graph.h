@@ -39,6 +39,10 @@ struct VersionEdge {
   double confidence = 1.0;
 };
 
+/// SHA-256 of an edge's canonical text — one record of
+/// ModelGraph::edge_digest.
+SetDigest::Hash EdgeHash(const VersionEdge& edge);
+
 /// Directed acyclic graph of model derivations with a monotonically
 /// increasing revision counter. Every mutation bumps the revision, which
 /// is what model citations pin (§6 "Data and Model Citation": "upon any
@@ -63,6 +67,9 @@ class ModelGraph {
   size_t NumModels() const { return nodes_.size(); }
   size_t NumEdges() const { return edges_.size(); }
   uint64_t revision() const { return revision_; }
+  /// Adopts another graph's revision — a replica seeded with a leader's
+  /// lineage continues its revision sequence, so citations agree.
+  void set_revision(uint64_t revision) { revision_ = revision; }
 
   /// SetDigest over the SHA-256 of every edge's canonical text
   /// "edge|parent|child|type|%.17g confidence|params JSON", kept exact

@@ -131,5 +131,87 @@ TEST(ClusterRouterConcurrencyTest, MixedTrafficRacesTicksAndDelays) {
   ASSERT_TRUE(RemoveAll(dir).ok());
 }
 
+// Every broadcast read forwards the client's full request target, query
+// string included: the routed answer is byte-identical to what the
+// owning backend says to the same target (a citation asked for as
+// BibTeX comes back as BibTeX, not as the JSON document).
+TEST(ClusterRouterQueryStringTest, BroadcastRoutesForwardQueryStrings) {
+  std::string dir = MakeTempDir("mlake-cluster-query").ValueOrDie();
+  InProcessClusterOptions options;
+  options.shards = 2;
+  options.lake_options.input_dim = kDim;
+  options.lake_options.num_classes = kClasses;
+  options.lake_options.probe_count = 8;
+  auto cluster =
+      InProcessCluster::Create(dir, std::move(options)).MoveValueUnsafe();
+
+  std::vector<std::string> ids;
+  for (uint64_t i = 0; i < 4; ++i) {
+    Rng rng(40 + i);
+    auto model = nn::BuildModel(nn::MlpSpec(kDim, {8}, kClasses), &rng)
+                     .MoveValueUnsafe();
+    std::string bytes = storage::SerializeArtifact(
+        storage::ArtifactFromModel(*model, Json::MakeObject()));
+    metadata::ModelCard card;
+    card.model_id = "query-" + std::to_string(i);
+    card.name = card.model_id;
+    card.task = "sum";
+    auto ingested = cluster->IngestArtifact(bytes, card);
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    ids.push_back(ingested.ValueUnsafe());
+  }
+  cluster->router()->TickNow();
+
+  server::HttpClient router("127.0.0.1", cluster->router_port());
+  for (const std::string& id : ids) {
+    const std::vector<std::string> targets = {
+        "/v1/models/" + id + "/citation?format=bibtex",
+        "/v1/models/" + id + "/citation?format=json",
+        "/v1/models/" + id + "/doc?v=1",
+        "/v1/models/" + id + "?v=1",
+        "/v1/audit/" + id + "?v=1",
+        "/v1/lineage/" + id + "?v=1",
+        "/v1/embedding/" + id + "?v=1",
+    };
+    for (const std::string& target : targets) {
+      // The owner is the backend that answers 2xx.
+      std::string owner_body;
+      for (size_t shard = 0; shard < cluster->shards(); ++shard) {
+        server::HttpClient backend("127.0.0.1",
+                                   cluster->server(shard)->port());
+        auto direct = backend.Get(target);
+        ASSERT_TRUE(direct.ok()) << target;
+        if (direct.ValueUnsafe().status / 100 == 2) {
+          owner_body = direct.ValueUnsafe().body;
+        }
+      }
+      ASSERT_FALSE(owner_body.empty()) << target;
+      auto routed = router.Get(target);
+      ASSERT_TRUE(routed.ok()) << target;
+      ASSERT_EQ(routed.ValueUnsafe().status, 200) << target;
+      EXPECT_EQ(routed.ValueUnsafe().body, owner_body) << target;
+    }
+  }
+  // The BibTeX form really is a different answer from the default.
+  auto bibtex = router.Get("/v1/models/" + ids[0] + "/citation?format=bibtex");
+  auto plain = router.Get("/v1/models/" + ids[0] + "/citation");
+  ASSERT_TRUE(bibtex.ok());
+  ASSERT_TRUE(plain.ok());
+  EXPECT_NE(bibtex.ValueUnsafe().body, plain.ValueUnsafe().body);
+
+  // The export scatter forwards its target too: the merged dump with a
+  // query string is the merged dump without one.
+  auto export_plain = router.Get("/v1/export");
+  auto export_query = router.Get("/v1/export?v=1");
+  ASSERT_TRUE(export_plain.ok());
+  ASSERT_TRUE(export_query.ok());
+  ASSERT_EQ(export_query.ValueUnsafe().status, 200);
+  EXPECT_EQ(export_query.ValueUnsafe().body, export_plain.ValueUnsafe().body);
+
+  ASSERT_TRUE(cluster->Stop().ok());
+  cluster.reset();
+  ASSERT_TRUE(RemoveAll(dir).ok());
+}
+
 }  // namespace
 }  // namespace mlake::cluster

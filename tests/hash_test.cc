@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
+
 namespace mlake {
 namespace {
 
@@ -92,6 +94,46 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
     std::string corrupted = data;
     corrupted[byte] ^= 0x40;
     EXPECT_NE(Crc32(corrupted), clean) << "flip at byte " << byte;
+  }
+}
+
+/// The byte-at-a-time CRC-32 the slicing-by-8 implementation replaced,
+/// kept as the reference it must agree with bit for bit.
+uint32_t ReferenceCrc32(const void* data, size_t len) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesByteAtATimeAtEveryLengthAndAlignment) {
+  Rng rng(32);
+  std::string buffer(4099 + 8, '\0');
+  for (char& ch : buffer) ch = static_cast<char>(rng.NextBelow(256));
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 4099; ++len) {
+      const char* start = buffer.data() + align;
+      ASSERT_EQ(Crc32(start, len), ReferenceCrc32(start, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesByteAtATimeOnRandomMegabytes) {
+  Rng rng(33);
+  for (int round = 0; round < 4; ++round) {
+    std::string mb(size_t{1} << 20, '\0');
+    for (char& ch : mb) ch = static_cast<char>(rng.NextBelow(256));
+    size_t offset = rng.NextBelow(8);
+    EXPECT_EQ(Crc32(mb.data() + offset, mb.size() - offset),
+              ReferenceCrc32(mb.data() + offset, mb.size() - offset))
+        << "round " << round;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -403,6 +404,95 @@ TEST_F(LakeScaleTest, BackgroundCompactionTriggersAndConverges) {
   EXPECT_EQ(ann->GetInt64("live"), 40);
   // Search still serves every model after the swap.
   EXPECT_EQ(lake->KeywordScores("scale", 64).MoveValueUnsafe().size(), 40u);
+}
+
+/// Passthrough Fs that counts the snapshot files written into one
+/// index dir (WriteFileAtomic writes "<name>.snap.tmp.<n>" first).
+class SnapshotWriteCounter final : public Fs {
+ public:
+  explicit SnapshotWriteCounter(std::string index_dir)
+      : index_dir_(std::move(index_dir) + "/") {}
+
+  size_t snapshot_writes() const { return snapshot_writes_.load(); }
+
+  Result<std::string> ReadFile(const std::string& p) override {
+    return base_->ReadFile(p);
+  }
+  bool FileExists(const std::string& p) override {
+    return base_->FileExists(p);
+  }
+  Result<uint64_t> FileSize(const std::string& p) override {
+    return base_->FileSize(p);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& d) override {
+    return base_->ListDir(d);
+  }
+  Result<std::vector<std::string>> ListSubdirs(const std::string& d) override {
+    return base_->ListSubdirs(d);
+  }
+  Result<MmapFile> Mmap(const std::string& p) override {
+    return base_->Mmap(p);
+  }
+  Status WriteFile(const std::string& p, std::string_view data) override {
+    if (StartsWith(p, index_dir_) && p.find(".snap") != std::string::npos) {
+      ++snapshot_writes_;
+    }
+    return base_->WriteFile(p, data);
+  }
+  Status AppendFile(const std::string& p, std::string_view data) override {
+    return base_->AppendFile(p, data);
+  }
+  Status Truncate(const std::string& p, uint64_t size) override {
+    return base_->Truncate(p, size);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status RemoveFile(const std::string& p) override {
+    return base_->RemoveFile(p);
+  }
+  Status CreateDirs(const std::string& p) override {
+    return base_->CreateDirs(p);
+  }
+  Status SyncFile(const std::string& p) override { return base_->SyncFile(p); }
+  Status SyncDir(const std::string& p) override { return base_->SyncDir(p); }
+
+ private:
+  Fs* base_ = RealFs();
+  std::string index_dir_;
+  std::atomic<size_t> snapshot_writes_{0};
+};
+
+// A bulk load at the production threshold: the background pass the
+// fourth batch triggers is overtaken by the fifth, and it must give up
+// before writing anything. Every snapshot file ever written belongs to
+// a generation that was published.
+TEST_F(LakeScaleTest, BulkLoadWritesOnlyPublishedGenerations) {
+  SnapshotWriteCounter fs(JoinPath(JoinPath(dir_, "bulk"), "index"));
+  LakeOptions options = Options("bulk", &fs);
+  options.background_compaction = true;
+  options.compact_min_delta = 4096;
+  auto lake = ModelLake::Open(options).MoveValueUnsafe();
+  const int64_t dim = lake->EmbeddingDim();
+  for (int b = 0; b < 5; ++b) {
+    ASSERT_TRUE(lake->IngestCards(MakeBatch(dim, 1024, 500 + b,
+                                            StrFormat("bulk%d", b)))
+                    .ok());
+  }
+  ASSERT_TRUE(lake->CompactIndices().ok());
+
+  Json passes = *lake->IndexStatsJson().Find("compactions");
+  const int64_t published = passes.GetInt64("published");
+  EXPECT_GE(published, 1) << passes.Dump();
+  EXPECT_EQ(fs.snapshot_writes(), static_cast<size_t>(4 * published))
+      << passes.Dump();
+  // The index dir holds exactly the published generation and its
+  // manifest.
+  EXPECT_EQ(IndexFiles(options.root).size(), 5u);
+  EXPECT_EQ(lake->NumModels(), 5u * 1024u);
+  lake.reset();
+  auto reopened = ModelLake::Open(Options("bulk")).MoveValueUnsafe();
+  EXPECT_EQ(reopened->IndexGeneration(), static_cast<uint64_t>(published));
 }
 
 TEST_F(LakeScaleTest, StreamingGeneratorFeedsTheLake) {

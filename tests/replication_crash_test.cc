@@ -25,6 +25,7 @@
 #include "nn/trainer.h"
 #include "replication/replicator.h"
 #include "server/http.h"
+#include "server/server.h"
 
 namespace mlake::replication {
 namespace {
@@ -228,6 +229,115 @@ TEST_F(ReplicationCrashTest, EveryApplyCrashPointRecoversAndConverges) {
     }
   }
   EXPECT_EQ(trials, 2 * probe_total);
+}
+
+// The seed-install crash matrix: a leader with a published index
+// generation and a tail of later writes, served over loopback; a child
+// process bootstraps an empty replica through the real
+// Replicator::SyncOnce (seed fetch, blob fetch, record / index-file /
+// watermark install, tail replay) and is killed at every mutating
+// filesystem op — after the records, after the files, before the
+// watermark and everywhere between. The reopened replica must converge
+// to the leader without ever replaying the seeded log prefix over a
+// half-installed catalog.
+TEST_F(ReplicationCrashTest, EverySeedInstallCrashPointRecoversAndConverges) {
+  std::string leader_dir = JoinPath(root_, "seed-leader");
+  auto leader = core::ModelLake::Open(Options(leader_dir)).MoveValueUnsafe();
+  auto m1 = MakeModel(21);
+  ASSERT_TRUE(leader->IngestModel(*m1, Card("s1")).ok());
+  std::vector<core::CardIngest> cards(6);
+  for (size_t i = 0; i < cards.size(); ++i) {
+    cards[i].card = Card("c" + std::to_string(i));
+    cards[i].embedding.assign(static_cast<size_t>(leader->EmbeddingDim()),
+                              0.1f * static_cast<float>(i + 1));
+  }
+  ASSERT_TRUE(leader->IngestCards(cards).ok());
+  versioning::VersionEdge edge;
+  edge.parent = "s1";
+  edge.child = "c0";
+  edge.type = versioning::EdgeType::kFinetune;
+  ASSERT_TRUE(leader->RecordEdge(edge).ok());
+  ASSERT_TRUE(leader->RegisterDataset("seed/ds", {"a", "b"}).ok());
+  ASSERT_TRUE(leader->CompactIndices().ok());
+  // The tail the replica replays after the seed: two entries.
+  auto m2 = MakeModel(22);
+  ASSERT_TRUE(leader->IngestModel(*m2, Card("s2")).ok());
+  ASSERT_TRUE(leader->RegisterDataset("seed/late", {"c"}).ok());
+  constexpr uint64_t kTailEntries = 2;
+
+  server::ServerOptions server_options;
+  server_options.threads = 2;
+  server::LakeServer server(leader.get(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string fingerprint = leader->ReplicationFingerprint();
+  const uint64_t last_seq = leader->ReplicationLastSeq();
+  const uint64_t generation = leader->IndexGeneration();
+
+  auto sync = [&](const std::string& trial, Fs* fs) {
+    auto opened = core::ModelLake::Open(Options(trial, fs));
+    if (!opened.ok()) return 3;
+    auto lake = opened.MoveValueUnsafe();
+    ReplicaOptions options;
+    options.leader_port = server.port();
+    options.fs = fs;
+    auto replicator = Replicator::Open(lake.get(), options);
+    if (!replicator.ok()) return 4;
+    return replicator.ValueUnsafe()->SyncOnce().ok() ? 0 : 5;
+  };
+
+  uint64_t probe_total = 0;
+  {
+    std::string probe = CloneTemplate("seed-count");
+    FaultInjectingFs fs(RealFs(), FaultPlan{});
+    ASSERT_EQ(sync(probe, &fs), 0);
+    probe_total = fs.mutating_ops();
+    ASSERT_TRUE(RemoveAll(probe).ok());
+  }
+  ASSERT_GT(probe_total, 0u);
+
+  for (CrashStyle style : {CrashStyle::kBeforeOp, CrashStyle::kTornOp}) {
+    for (uint64_t crash_op = 1; crash_op <= probe_total; ++crash_op) {
+      std::string label =
+          std::string(style == CrashStyle::kBeforeOp ? "seed-before" :
+                                                       "seed-torn") +
+          "-op-" + std::to_string(crash_op);
+      std::string trial = CloneTemplate(label);
+      int exit_code = ForkAndWait([&] {
+        FaultPlan plan;
+        plan.crash_at_op = crash_op;
+        plan.crash_style = style;
+        plan.crash_exits_process = true;
+        FaultInjectingFs fs(RealFs(), plan);
+        return sync(trial, &fs);
+      });
+      ASSERT_EQ(exit_code, kCrashExitCode) << label;
+      {
+        auto lake = core::ModelLake::Open(Options(trial)).MoveValueUnsafe();
+        auto fsck = lake->FsckArtifacts();
+        ASSERT_TRUE(fsck.ok()) << label;
+        EXPECT_TRUE(fsck.ValueUnsafe().empty()) << label;
+        ReplicaOptions options;
+        options.leader_port = server.port();
+        auto replicator =
+            Replicator::Open(lake.get(), options).MoveValueUnsafe();
+        auto synced = replicator->SyncOnce();
+        ASSERT_TRUE(synced.ok()) << label << ": "
+                                 << synced.status().ToString();
+        EXPECT_LE(replicator->entries_applied(), kTailEntries) << label;
+        EXPECT_EQ(replicator->AppliedSeq(), last_seq) << label;
+        EXPECT_EQ(lake->ReplicationFingerprint(), fingerprint) << label;
+        EXPECT_EQ(lake->IndexGeneration(), generation) << label;
+        EXPECT_TRUE(lake->HasEdge("s1", "c0")) << label;
+      }
+      for (const auto& entry :
+           std::filesystem::recursive_directory_iterator(trial)) {
+        EXPECT_FALSE(IsTmpFileName(entry.path().filename().string()))
+            << label << ": stray " << entry.path();
+      }
+      ASSERT_TRUE(RemoveAll(trial).ok());
+    }
+  }
+  ASSERT_TRUE(server.Stop().ok());
 }
 
 // A crash-free apply followed by a redelivered batch is a no-op: every

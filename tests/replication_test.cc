@@ -518,7 +518,7 @@ TEST_F(ReplicationTest, LogTruncationForcesSnapshotReseed) {
   OpenReplica();
   auto applied = replicator_->SyncOnce();
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(replicator_->reseeds(), 1u);
+  EXPECT_EQ(replicator_->seed_installs(), 1u);
   EXPECT_EQ(replicator_->AppliedSeq(), leader_lake_->ReplicationLastSeq());
   EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
             leader_lake_->ReplicationFingerprint());
@@ -539,11 +539,206 @@ TEST_F(ReplicationTest, DivergenceIsDetectedAndRepaired) {
 
   // The periodic fingerprint exchange catches it and re-seeds.
   ASSERT_TRUE(replicator_->CheckDivergence().ok());
-  EXPECT_EQ(replicator_->reseeds(), 1u);
+  EXPECT_EQ(replicator_->seed_installs(), 1u);
   EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
             leader_lake_->ReplicationFingerprint());
   EXPECT_EQ(replica_lake_->ListModels(), leader_lake_->ListModels());
   EXPECT_FALSE(replica_lake_->ArtifactDigest("rogue").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Seed bootstrap: an empty replica installs the leader's published index
+// generation plus its records, then replays only the log tail
+// ---------------------------------------------------------------------------
+
+/// Metadata-only models for the seed tests (the fixture's three
+/// artifact models ride along, so blob fetches are covered too).
+std::vector<core::CardIngest> CardBatch(core::ModelLake* lake,
+                                        const std::string& prefix, int n,
+                                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<core::CardIngest> batch(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    batch[i].card = Card(StrFormat("%s-%02d", prefix.c_str(), i),
+                         i % 2 == 0 ? "sum" : "mean");
+    for (int64_t d = 0; d < lake->EmbeddingDim(); ++d) {
+      batch[i].embedding.push_back(static_cast<float>(rng.Uniform(-1, 1)));
+    }
+  }
+  return batch;
+}
+
+/// Every search family, the governance export and a citation answer
+/// byte-identically on replica and leader.
+void ExpectServesLikeLeader(int leader_port, int replica_port) {
+  server::HttpClient leader("127.0.0.1", leader_port);
+  server::HttpClient replica("127.0.0.1", replica_port);
+  const std::vector<std::string> bodies = {
+      R"({"type": "ann", "id": "base-sum", "k": 5})",
+      R"({"type": "ann", "id": "seed-03", "k": 8})",
+      R"({"type": "keyword", "query": "sum", "k": 10})",
+      R"({"type": "keyword", "query": "mean synthetic", "k": 10})",
+      R"({"type": "mlql", "query": "FIND MODELS WHERE task = 'mean' LIMIT 20"})",
+      R"({"type": "hybrid", "query": "sum", "id": "base-sum", "k": 6})",
+  };
+  for (const std::string& body : bodies) {
+    auto from_leader = leader.Post("/v1/search", body);
+    auto from_replica = replica.Post("/v1/search", body);
+    ASSERT_TRUE(from_leader.ok()) << body;
+    ASSERT_TRUE(from_replica.ok()) << body;
+    ASSERT_EQ(from_leader.ValueUnsafe().status, 200)
+        << from_leader.ValueUnsafe().body;
+    EXPECT_EQ(from_replica.ValueUnsafe().body, from_leader.ValueUnsafe().body)
+        << body;
+  }
+  for (const std::string& target :
+       {std::string("/v1/export"),
+        std::string("/v1/models/ft-sum/citation")}) {
+    auto from_leader = leader.Get(target);
+    auto from_replica = replica.Get(target);
+    ASSERT_TRUE(from_leader.ok()) << target;
+    ASSERT_TRUE(from_replica.ok()) << target;
+    ASSERT_EQ(from_replica.ValueUnsafe().status, 200) << target;
+    EXPECT_EQ(from_replica.ValueUnsafe().body, from_leader.ValueUnsafe().body)
+        << target;
+  }
+}
+
+// Starting point 1: the leader compacted and wrote nothing since. The
+// replica installs the seed, applies no log entry, reports the leader's
+// generation, and its own compaction pass is a no-op.
+TEST_F(ReplicationTest, EmptyReplicaBootstrapsFromPublishedGeneration) {
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "seed", 24, 3))
+          .ok());
+  ASSERT_TRUE(leader_lake_->CompactIndices().ok());
+  ASSERT_GT(leader_lake_->IndexGeneration(), 0u);
+  OpenReplica();
+  auto applied = replicator_->SyncOnce();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied.ValueUnsafe(), 0u);
+  EXPECT_EQ(replicator_->entries_applied(), 0u);
+  EXPECT_EQ(replicator_->seed_installs(), 1u);
+  EXPECT_EQ(replicator_->AppliedSeq(), leader_lake_->ReplicationLastSeq());
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  EXPECT_EQ(replica_lake_->IndexGeneration(), leader_lake_->IndexGeneration());
+  ASSERT_TRUE(replica_lake_->CompactIndices().ok());
+  Json passes = *replica_lake_->IndexStatsJson().Find("compactions");
+  EXPECT_EQ(passes.GetInt64("published"), 0);
+  EXPECT_EQ(passes.GetInt64("aborted"), 0);
+  EXPECT_GE(passes.GetInt64("skipped"), 1);
+  EXPECT_EQ(replica_lake_->IndexGeneration(), leader_lake_->IndexGeneration());
+
+  StartReplicaServer();
+  ExpectServesLikeLeader(leader_server_->port(), replica_server_->port());
+  server::HttpClient client("127.0.0.1", replica_server_->port());
+  auto statsz = client.Get("/statsz");
+  ASSERT_TRUE(statsz.ok());
+  auto parsed = Json::Parse(statsz.ValueUnsafe().body).ValueOrDie();
+  const Json* replication = parsed.Find("replication");
+  ASSERT_NE(replication, nullptr);
+  EXPECT_EQ(replication->GetInt64("seed_installs"), 1);
+  EXPECT_EQ(replication->GetInt64("entries_applied"), 0);
+
+  // The replica keeps following: later writes arrive through the log.
+  auto m4 = MakeModel(4);
+  ASSERT_TRUE(leader_lake_->IngestModel(*m4, Card("late-1", "mean")).ok());
+  auto more = replicator_->SyncOnce();
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  EXPECT_EQ(more.ValueUnsafe(), 1u);
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+}
+
+// Starting point 2: the leader compacted, then took more ingests (both
+// kinds), an edge and a dataset. The seed is cut at the generation; the
+// replica replays exactly the later entries in the leader's batches, so
+// its delta segment — and every answer — matches the leader's.
+TEST_F(ReplicationTest, SeedCutAtGenerationThenTailReplays) {
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "seed", 24, 3))
+          .ok());
+  ASSERT_TRUE(leader_lake_->CompactIndices().ok());
+  const uint64_t covered = leader_lake_->ReplicationLastSeq();
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "tail", 9, 4))
+          .ok());
+  auto m4 = MakeModel(4);
+  ASSERT_TRUE(leader_lake_->IngestModel(*m4, Card("late-1", "mean")).ok());
+  versioning::VersionEdge edge;
+  edge.parent = "mean-1";
+  edge.child = "late-1";
+  edge.type = versioning::EdgeType::kFinetune;
+  ASSERT_TRUE(leader_lake_->RecordEdge(edge).ok());
+  ASSERT_TRUE(leader_lake_->RegisterDataset("corpus/late", {"s3"}).ok());
+  // Four entries after the generation (the pass itself held a seq that
+  // never enters the log).
+  const uint64_t tail = 4;
+  ASSERT_GT(leader_lake_->ReplicationLastSeq(), covered + tail - 1);
+
+  OpenReplica();
+  auto applied = replicator_->SyncOnce();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied.ValueUnsafe(), tail);
+  EXPECT_EQ(replicator_->seed_installs(), 1u);
+  EXPECT_EQ(replicator_->AppliedSeq(), leader_lake_->ReplicationLastSeq());
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  EXPECT_EQ(replica_lake_->IndexGeneration(), leader_lake_->IndexGeneration());
+  Json leader_ann = *leader_lake_->IndexStatsJson().Find("ann");
+  Json replica_ann = *replica_lake_->IndexStatsJson().Find("ann");
+  EXPECT_EQ(replica_ann.Dump(), leader_ann.Dump());
+
+  StartReplicaServer();
+  ExpectServesLikeLeader(leader_server_->port(), replica_server_->port());
+}
+
+// Starting point 3: no generation on the leader. Nothing is advertised,
+// and the log replays from seq 1 as before.
+TEST_F(ReplicationTest, WithoutGenerationTheLogReplays) {
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "seed", 24, 3))
+          .ok());
+  EXPECT_EQ(leader_lake_->ReplicationLogJson(1, 4).ValueOrDie().GetInt64(
+                "seed_seq"),
+            0);
+  OpenReplica();
+  auto applied = replicator_->SyncOnce();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied.ValueUnsafe(), leader_lake_->ReplicationLastSeq());
+  EXPECT_EQ(replicator_->seed_installs(), 0u);
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  StartReplicaServer();
+  ExpectServesLikeLeader(leader_server_->port(), replica_server_->port());
+}
+
+// A diverged replica with a log of its own re-seeds at the leader's
+// generation (below its own high-water mark) and replays the tail.
+TEST_F(ReplicationTest, DivergedReplicaReseedsBelowItsWatermark) {
+  OpenReplica();
+  ASSERT_TRUE(replicator_->SyncOnce().ok());
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "seed", 12, 3))
+          .ok());
+  ASSERT_TRUE(leader_lake_->CompactIndices().ok());
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "tail", 5, 4))
+          .ok());
+  ASSERT_TRUE(replicator_->SyncOnce().ok());
+  auto rogue = MakeModel(77);
+  ASSERT_TRUE(replica_lake_->IngestModel(*rogue, Card("rogue", "sum")).ok());
+  ASSERT_TRUE(replicator_->CheckDivergence().ok());
+  EXPECT_EQ(replicator_->seed_installs(), 1u);
+  // The seed sits at the generation; the tail comes back through the log.
+  ASSERT_TRUE(replicator_->SyncOnce().ok());
+  EXPECT_EQ(replicator_->AppliedSeq(), leader_lake_->ReplicationLastSeq());
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  EXPECT_FALSE(replica_lake_->ArtifactDigest("rogue").ok());
+  StartReplicaServer();
+  ExpectServesLikeLeader(leader_server_->port(), replica_server_->port());
 }
 
 TEST_F(ReplicationTest, PromoteBumpsEpochAndAcceptsWrites) {
@@ -836,9 +1031,12 @@ TEST_F(FingerprintTest, MaintainedFingerprintMatchesReference) {
   }
   ASSERT_NE(other->ReplicationFingerprint(), lake->ReplicationFingerprint());
   core::ModelLake* source = lake.get();
+  auto seed = core::ReplicationSeed::Parse(
+      source->EncodeReplicationSeed().ValueOrDie(), {});
+  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
   ASSERT_TRUE(other
-                  ->ReseedFromManifest(
-                      source->ReplicationSeedJson().ValueOrDie(),
+                  ->InstallReplicationSeed(
+                      seed.ValueUnsafe(),
                       [source](const std::string& digest) {
                         return source->ReadBlob(digest);
                       })
