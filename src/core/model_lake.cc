@@ -464,6 +464,8 @@ Result<ModelLake::IndexManifest> ModelLake::ReadIndexManifest() const {
   manifest.lsh = j.GetString("lsh");
   manifest.ids = j.GetString("ids");
   manifest.covered_seq = static_cast<uint64_t>(j.GetInt64("covered_seq", 0));
+  manifest.graph_revision =
+      static_cast<uint64_t>(j.GetInt64("graph_revision", 0));
   if (manifest.generation == 0 || manifest.ann.empty() ||
       manifest.bm25.empty() || manifest.lsh.empty() || manifest.ids.empty()) {
     return Status::Corruption("index manifest malformed");
@@ -479,6 +481,7 @@ Status ModelLake::WriteIndexManifest(const IndexManifest& manifest) {
   j.Set("lsh", manifest.lsh);
   j.Set("ids", manifest.ids);
   j.Set("covered_seq", Json(manifest.covered_seq));
+  j.Set("graph_revision", Json(manifest.graph_revision));
   return WriteFileAtomic(fs_, IndexManifestPath(), j.Dump(2));
 }
 
@@ -565,6 +568,7 @@ Status ModelLake::LoadIndexSnapshots() {
   }
   InstallIndexSet(std::move(set));
   index_generation_ = gen;
+  manifest_ = std::move(manifest);
   return Status::OK();
 }
 
@@ -584,6 +588,7 @@ Status ModelLake::GcIndexFilesUnlocked() {
 }
 
 Status ModelLake::InvalidateIndexSnapshotsUnlocked() {
+  manifest_.reset();
   if (!fs_->FileExists(IndexManifestPath())) return Status::OK();
   MLAKE_RETURN_NOT_OK(fs_->RemoveFile(IndexManifestPath()));
   return fs_->SyncDir(IndexDir());
@@ -601,10 +606,10 @@ Status ModelLake::CompactIndices() {
   // bit-identical to what a cold Open() would build — which is also why
   // a pass with nothing new since the generation this lake last
   // published (same epoch, same generation, manifest still on disk)
-  // would only rewrite the same files, and is skipped. The log seq read
-  // here is the one the generation covers.
+  // would only rewrite the same files, and is skipped. The log seq and
+  // graph revision read here are the ones the generation covers.
   uint64_t epoch;
-  uint64_t covered_seq;
+  IndexManifest manifest;
   IndexInputs inputs;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -615,7 +620,8 @@ Status ModelLake::CompactIndices() {
       ++passes_skipped_;
       return Status::OK();
     }
-    covered_seq = journal_->last_committed_seq();
+    manifest.covered_seq = journal_->last_committed_seq();
+    manifest.graph_revision = graph_.revision();
     MLAKE_RETURN_NOT_OK(ReadIndexInputs(&inputs));
   }
 
@@ -645,13 +651,11 @@ Status ModelLake::CompactIndices() {
     gen = index_generation_ + 1;
     MLAKE_ASSIGN_OR_RETURN(intent.seq, journal_->Begin(intent));
   }
-  IndexManifest manifest;
   manifest.generation = gen;
   manifest.ann = SnapName("ann", gen);
   manifest.bm25 = SnapName("bm25", gen);
   manifest.lsh = SnapName("lsh", gen);
   manifest.ids = SnapName("ids", gen);
-  manifest.covered_seq = covered_seq;
   Status wrote =
       fresh.ann->SaveSnapshot(fs_, JoinPath(IndexDir(), manifest.ann), gen);
   if (wrote.ok()) {
@@ -689,6 +693,7 @@ Status ModelLake::CompactIndices() {
       index_generation_ = gen;
       published_generation_ = gen;
       published_epoch_ = epoch;
+      manifest_ = manifest;
       ++passes_published_;
     }
     // GC covers both exits: superseded old-generation files after a
@@ -1481,17 +1486,12 @@ Result<Json> ModelLake::ReplicationLogJson(uint64_t from_seq,
         "log truncated through seq %llu; re-seed from a snapshot",
         static_cast<unsigned long long>(journal_->truncated_upto())));
   }
-  auto seed = SeedManifestUnlocked();
-  const uint64_t seed_seq = seed.ok() ? seed.ValueUnsafe().covered_seq : 0;
-  std::vector<storage::Intent> entries;
-  bool exhausted = false;
-  if (from_seq > 1 || seed_seq == 0) {
-    MLAKE_ASSIGN_OR_RETURN(entries, journal_->Committed(from_seq, max));
-    // Exhaustion is judged before filtering local-only ops: when this
-    // scan drained the log, the replica may fast-forward its watermark
-    // to last_seq even though some seqs below it were never shipped.
-    exhausted = entries.size() < max;
-  }
+  MLAKE_ASSIGN_OR_RETURN(std::vector<storage::Intent> entries,
+                         journal_->Committed(from_seq, max));
+  // Exhaustion is judged before filtering local-only ops: when this
+  // scan drained the log, the replica may fast-forward its watermark to
+  // last_seq even though some seqs below it were never shipped.
+  const bool exhausted = entries.size() < max;
   Json arr = Json::MakeArray();
   for (const storage::Intent& entry : entries) {
     if (entry.op == "compact") continue;  // local housekeeping, not state
@@ -1500,7 +1500,6 @@ Result<Json> ModelLake::ReplicationLogJson(uint64_t from_seq,
   Json out = Json::MakeObject();
   out.Set("epoch", Json(journal_->epoch()));
   out.Set("last_seq", Json(journal_->last_committed_seq()));
-  out.Set("seed_seq", Json(seed_seq));
   out.Set("exhausted", Json(exhausted));
   out.Set("entries", std::move(arr));
   return out;
@@ -1520,14 +1519,20 @@ std::string ModelLake::ReplicationFingerprint() const {
   return FingerprintHex(kinds, graph_.edge_digest());
 }
 
-Result<ModelLake::IndexManifest> ModelLake::SeedManifestUnlocked() const {
-  MLAKE_ASSIGN_OR_RETURN(IndexManifest manifest, ReadIndexManifest());
-  if (manifest.covered_seq == 0 ||
-      manifest.covered_seq > journal_->last_committed_seq() ||
-      journal_->truncated_upto() > manifest.covered_seq) {
-    return Status::NotFound("no index generation a seed can be cut at");
+const ModelLake::IndexManifest* ModelLake::SeedManifestUnlocked() const {
+  if (!manifest_.has_value() || manifest_->covered_seq == 0 ||
+      manifest_->covered_seq > journal_->last_committed_seq() ||
+      journal_->truncated_upto() > manifest_->covered_seq) {
+    return nullptr;
   }
-  return manifest;
+  return &*manifest_;
+}
+
+uint64_t ModelLake::ReplicationSeedSeq() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (!options_.replication_log) return 0;
+  const IndexManifest* manifest = SeedManifestUnlocked();
+  return manifest != nullptr ? manifest->covered_seq : 0;
 }
 
 Result<std::string> ModelLake::EncodeReplicationSeed() const {
@@ -1538,16 +1543,12 @@ Result<std::string> ModelLake::EncodeReplicationSeed() const {
   SeedContents seed;
   seed.epoch = journal_->epoch();
   seed.seq = journal_->last_committed_seq();
-  if (auto manifest = SeedManifestUnlocked(); manifest.ok()) {
-    const IndexManifest& m = manifest.ValueUnsafe();
-    const std::string* names[kSeedIndexFiles] = {&m.ann, &m.bm25, &m.lsh,
-                                                 &m.ids};
-    for (size_t i = 0; i < kSeedIndexFiles; ++i) {
-      MLAKE_ASSIGN_OR_RETURN(seed.index_files[i],
-                             fs_->ReadFile(JoinPath(IndexDir(), *names[i])));
-    }
-    seed.seq = m.covered_seq;
-    seed.generation = m.generation;
+  seed.graph_revision = graph_.revision();
+  const IndexManifest* manifest = SeedManifestUnlocked();
+  if (manifest != nullptr) {
+    seed.seq = manifest->covered_seq;
+    seed.generation = manifest->generation;
+    seed.graph_revision = manifest->graph_revision;
   }
 
   // The cut: everything committed entries after seed.seq wrote. Leader
@@ -1588,22 +1589,45 @@ Result<std::string> ModelLake::EncodeReplicationSeed() const {
     kind_digests.push_back(digest);
   }
   SetDigest edge_digest = graph_.edge_digest();
-  uint64_t revision = graph_.revision();
   for (const versioning::VersionEdge& edge : graph_.Edges()) {
     if (later_edges.count({edge.parent, edge.child}) > 0) {
       edge_digest.Remove(versioning::EdgeHash(edge));
-      --revision;
     } else {
       seed.edges.push_back(edge);
     }
   }
-  // Each later artifact-backed ingest added one graph node.
-  for (const std::string& id : later_models) {
-    if (graph_.HasModel(id) && revision > 0) --revision;
-  }
-  seed.graph_revision = revision;
   seed.fingerprint = Fingerprint(kind_digests, edge_digest);
-  return EncodeSeed(std::move(seed));
+
+  // The records and the index files are nearly all of the container;
+  // a seed past the cap is refused before anything is read or encoded.
+  auto too_large = [](size_t bytes) {
+    return Status::ResourceExhausted(StrFormat(
+        "replication seed of %zu bytes exceeds the %zu-byte cap; replay "
+        "the log instead",
+        bytes, kMaxSeedBytes));
+  };
+  size_t size = 0;
+  for (const auto& records : seed.records) {
+    for (const auto& [id, bytes] : records) size += id.size() + bytes.size();
+  }
+  if (manifest != nullptr) {
+    const std::string* names[kSeedIndexFiles] = {
+        &manifest->ann, &manifest->bm25, &manifest->lsh, &manifest->ids};
+    for (size_t i = 0; i < kSeedIndexFiles; ++i) {
+      MLAKE_ASSIGN_OR_RETURN(uint64_t file_size,
+                             fs_->FileSize(JoinPath(IndexDir(), *names[i])));
+      size += static_cast<size_t>(file_size);
+    }
+    if (size > kMaxSeedBytes) return too_large(size);
+    for (size_t i = 0; i < kSeedIndexFiles; ++i) {
+      MLAKE_ASSIGN_OR_RETURN(seed.index_files[i],
+                             fs_->ReadFile(JoinPath(IndexDir(), *names[i])));
+    }
+  }
+  if (size > kMaxSeedBytes) return too_large(size);
+  MLAKE_ASSIGN_OR_RETURN(std::string encoded, EncodeSeed(std::move(seed)));
+  if (encoded.size() > kMaxSeedBytes) return too_large(encoded.size());
+  return encoded;
 }
 
 Status ModelLake::ApplyReplicated(
@@ -1724,6 +1748,9 @@ Status ModelLake::ApplyReplicated(
 Status ModelLake::InstallReplicationSeed(
     const ReplicationSeed& seed,
     const std::function<Result<std::string>(const std::string&)>& fetch_blob) {
+  // Same order as CompactIndices: no pass writes the index directory
+  // while the seed's generation goes in.
+  std::lock_guard<std::mutex> run(compact_run_mu_);
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!options_.replication_log) {
     return Status::FailedPrecondition("replication log disabled on this lake");
@@ -1823,6 +1850,7 @@ Status ModelLake::InstallReplicationSeed(
     manifest.lsh = SnapName("lsh", seed.generation());
     manifest.ids = SnapName("ids", seed.generation());
     manifest.covered_seq = seed.seq();
+    manifest.graph_revision = seed.graph_revision();
     const std::string* names[kSeedIndexFiles] = {
         &manifest.ann, &manifest.bm25, &manifest.lsh, &manifest.ids};
     for (size_t i = 0; i < kSeedIndexFiles; ++i) {

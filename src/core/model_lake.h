@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -422,16 +423,21 @@ class ModelLake : public search::SearchContext {
   bool ReplicationLogEnabled() const { return options_.replication_log; }
 
   /// Shippable batch of committed log entries with seq >= `from_seq`:
-  /// {"epoch", "last_seq", "seed_seq", "exhausted", "entries": [intent
-  /// json...]}. Local-only ops leave gaps: a compaction pass holds a
-  /// seq but never enters the log (older logs that kept "compact"
-  /// entries have them filtered out); `exhausted` tells the replica it
-  /// may fast-forward its watermark to `last_seq` across such gaps.
-  /// `seed_seq` is the seq a replication seed would be cut at when the
-  /// lake has a usable published index generation (0 otherwise); a pull
-  /// from seq 1 — an empty replica — is then answered with no entries,
-  /// since that replica installs the seed instead of the log prefix.
+  /// {"epoch", "last_seq", "exhausted", "entries": [intent json...]}.
+  /// Local-only ops leave gaps: a compaction pass holds a seq but never
+  /// enters the log (older logs that kept "compact" entries have them
+  /// filtered out); `exhausted` tells the replica it may fast-forward
+  /// its watermark to `last_seq` across such gaps. Entries are served
+  /// from any retained seq, seq 1 included, so a replica that cannot
+  /// take a seed can always replay the log.
   Result<Json> ReplicationLogJson(uint64_t from_seq, size_t max) const;
+
+  /// The seq a replication seed would be cut at when the lake has a
+  /// usable published index generation (its manifest records
+  /// covered_seq and the log is retained past it), 0 otherwise. O(1):
+  /// read from the in-memory copy of the manifest. An empty replica
+  /// installs a seed instead of replaying the log when this is > 0.
+  uint64_t ReplicationSeedSeq() const;
 
   /// Raw blob bytes by content digest (the replication blob fetch).
   Result<std::string> ReadBlob(const std::string& digest) const;
@@ -455,7 +461,9 @@ class ModelLake : public search::SearchContext {
   /// retained past it) the seed is cut at covered_seq — the catalog
   /// minus what later committed entries wrote — and carries that
   /// generation's four snapshot files. Otherwise it is cut at the last
-  /// committed seq and carries no files.
+  /// committed seq and carries no files. A seed larger than
+  /// kMaxSeedBytes is refused with ResourceExhausted before it is
+  /// encoded; a replica bootstrapping then replays the log instead.
   Result<std::string> EncodeReplicationSeed() const;
 
   /// Applies one shipped log entry at its original seq + epoch through
@@ -477,7 +485,8 @@ class ModelLake : public search::SearchContext {
   /// otherwise the indexes are rebuilt from the catalog. The old
   /// manifest is removed before any record changes, so a crash part
   /// way reopens on a catalog rebuild; installing the same seed again
-  /// completes it.
+  /// completes it. Waits for a running compaction pass, so the two
+  /// never write the index directory at once.
   Status InstallReplicationSeed(
       const ReplicationSeed& seed,
       const std::function<Result<std::string>(const std::string&)>&
@@ -747,6 +756,9 @@ class ModelLake : public search::SearchContext {
     /// exactly (read with the catalog the pass built from); 0 when the
     /// manifest predates the field. What a replication seed cuts at.
     uint64_t covered_seq = 0;
+    /// The lineage graph's revision at covered_seq (read under the same
+    /// lock), which a seed cut there hands to the replica's graph.
+    uint64_t graph_revision = 0;
   };
 
   Status Initialize();
@@ -757,9 +769,10 @@ class ModelLake : public search::SearchContext {
   /// Builds a fresh IndexSet from `inputs`, deterministic in their
   /// order. Touches no lake state, so it needs no lock.
   Status BuildIndexSet(IndexInputs inputs, IndexSet* out) const;
-  /// The manifest a replication seed may be cut at: present, recording
-  /// a covered_seq, and with the log retained past it. Caller holds mu_.
-  Result<IndexManifest> SeedManifestUnlocked() const;
+  /// The manifest a replication seed may be cut at: published, recording
+  /// a covered_seq, and with the log retained past it; nullptr when
+  /// there is none. Caller holds mu_.
+  const IndexManifest* SeedManifestUnlocked() const;
   /// Reads MANIFEST.json; NotFound when there is none.
   Result<IndexManifest> ReadIndexManifest() const;
   Status WriteIndexManifest(const IndexManifest& manifest);
@@ -959,6 +972,10 @@ class ModelLake : public search::SearchContext {
   /// rebuild the same files, so CompactIndices skips it.
   uint64_t published_epoch_ = 0;
   uint64_t published_generation_ = 0;
+  /// The manifest on disk, kept in memory: set where it is written or
+  /// loaded, cleared where it is removed (nullopt = none, or one that
+  /// failed to load).
+  std::optional<IndexManifest> manifest_;
   /// Compaction pass outcomes since Open: published a generation,
   /// aborted because the epoch moved, skipped as a no-op. Atomic
   /// because a skip is counted under the shared lock.
@@ -974,7 +991,8 @@ class ModelLake : public search::SearchContext {
   bool compact_requested_ = false;
   bool compact_stop_ = false;
   /// Serializes compaction passes (explicit calls vs the background
-  /// thread).
+  /// thread) and seed installs, which write the same index directory.
+  /// Taken before mu_.
   std::mutex compact_run_mu_;
 
   // ---- cost-based planner state (PR 7) ----

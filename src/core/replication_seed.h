@@ -57,6 +57,11 @@ std::string FingerprintHex(const std::vector<SetDigest>& kind_digests,
 /// seed sections (and IndexManifest) name them: ann, bm25, lsh, ids.
 inline constexpr size_t kSeedIndexFiles = 4;
 
+/// The largest seed a leader encodes: what server::HttpClient accepts
+/// as one response body. A lake whose seed would be larger refuses it
+/// (ResourceExhausted), and an empty replica replays the log instead.
+inline constexpr size_t kMaxSeedBytes = size_t{256} << 20;
+
 /// What a leader puts into a seed. Views must outlive EncodeSeed.
 struct SeedContents {
   uint64_t seq = 0;

@@ -16,6 +16,9 @@ namespace {
 /// Name of the durable watermark file under the replica lake's root.
 constexpr char kStateFile[] = "replica_state.json";
 
+// A seed the leader is willing to encode always fits one response.
+static_assert(core::kMaxSeedBytes <= server::kMaxResponseBytes);
+
 /// Reconstructs a Status from a leader error response (same mapping the
 /// router uses) so fencing/truncation signals keep their code family
 /// across the HTTP hop.
@@ -119,6 +122,9 @@ Status Replicator::Stop() {
 Result<size_t> Replicator::SyncOnce() {
   std::lock_guard<std::mutex> lock(apply_mu_);
   size_t applied = 0;
+  if (applied_seq_.load() == 0 && !seed_pending_) {
+    MLAKE_RETURN_NOT_OK(BootstrapFromSeedLocked());
+  }
   // Bounded so a leader that keeps answering "more" (or a reseed loop)
   // cannot wedge the caller forever.
   for (int rounds = 0; rounds < 10000; ++rounds) {
@@ -144,12 +150,6 @@ Result<size_t> Replicator::SyncOnce() {
     }
     MLAKE_ASSIGN_OR_RETURN(Json batch,
                            Json::Parse(response.ValueUnsafe().body));
-    if (applied_seq_.load() == 0 && batch.GetInt64("seed_seq", 0) > 0) {
-      // An empty replica bootstraps from the leader's published index
-      // generation rather than replaying the log prefix it covers.
-      MLAKE_RETURN_NOT_OK(ReseedFromLeaderLocked());
-      continue;
-    }
     Status batch_status = ApplyBatchLocked(batch, &applied);
     if (batch_status.IsCorruption()) {
       // The lake holds a different answer than the log claims — repair
@@ -282,6 +282,27 @@ Result<std::string> Replicator::FetchBlob(const std::string& digest) {
     return Status::Corruption("leader blob does not match digest " + digest);
   }
   return bytes;
+}
+
+Status Replicator::BootstrapFromSeedLocked() {
+  auto response =
+      client_->Get("/v1/replication/fingerprint", {}, options_.timeout_ms);
+  if (!response.ok()) return response.status();
+  if (response.ValueUnsafe().status != 200) {
+    return StatusFromResponse(response.ValueUnsafe());
+  }
+  MLAKE_ASSIGN_OR_RETURN(Json j, Json::Parse(response.ValueUnsafe().body));
+  if (j.GetInt64("seed_seq", 0) <= 0) return Status::OK();
+  Status seeded = ReseedFromLeaderLocked();
+  // A seed too large for one response is refused (by the leader, or by
+  // the client's response cap) before anything is installed; the log,
+  // which the leader serves from seq 1, is then the way in.
+  if (seeded.IsResourceExhausted() && !seed_pending_) {
+    MLAKE_LOG_WARNING << "replica: no seed from leader ("
+                      << seeded.ToString() << "); replaying the log";
+    return Status::OK();
+  }
+  return seeded;
 }
 
 Status Replicator::ReseedFromLeaderLocked() {

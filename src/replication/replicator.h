@@ -28,14 +28,16 @@
 // past everything seen and stops following; the server then routes
 // writes here.
 //
-// Seeds: an empty replica (watermark 0) whose first log pull
-// advertises a `seed_seq` — the leader has a published index generation
-// — installs a replication seed (core/replication_seed.h, GET
-// /v1/replication/seed) instead of replaying the log prefix: the
-// leader's catalog records as stored bytes, its lineage edges and the
-// generation's four snapshot files, cut at the seq the generation
-// covers. The replica then replays only the tail through the normal
-// apply path. The same seed repairs divergence: every
+// Seeds: an empty replica (watermark 0) whose leader advertises a
+// `seed_seq` (GET /v1/replication/fingerprint; > 0 when the leader has
+// a published index generation) installs a replication seed
+// (core/replication_seed.h, GET /v1/replication/seed) instead of
+// replaying the log prefix: the leader's catalog records as stored
+// bytes, its lineage edges and the generation's four snapshot files,
+// cut at the seq the generation covers. The replica then replays only
+// the tail through the normal apply path. A seed over the size cap
+// (kMaxSeedBytes) is refused before anything is installed, and the
+// replica replays the log from seq 1 instead. The same seed repairs divergence: every
 // `fingerprint_interval_polls` caught-up polls the replica compares
 // logical-state fingerprints with the leader. Both sides read
 // ModelLake::ReplicationFingerprint, which is O(1): the catalog and the
@@ -161,6 +163,10 @@ class Replicator : public server::ReplicationControl {
   Result<bool> AlreadyApplied(const storage::Intent& entry) const;
 
   Result<std::string> FetchBlob(const std::string& digest);
+  /// An empty replica's first step: installs the leader's seed when it
+  /// advertises one, and leaves the log to do the work when it does not
+  /// or when the seed is refused as too large.
+  Status BootstrapFromSeedLocked();
   /// Fetches the leader's seed and installs it.
   Status ReseedFromLeaderLocked();
   Status InstallSeedLocked(std::string_view seed_bytes);

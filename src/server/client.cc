@@ -99,7 +99,7 @@ Result<HttpResponse> HttpClient::RoundTrip(
     bool got_bytes = false;
     bool dead = !sent;
     while (!dead) {
-      auto parsed = ParseHttpResponse(buf, 256u << 20, &response);
+      auto parsed = ParseHttpResponse(buf, kMaxResponseBytes, &response);
       if (!parsed.ok()) return parsed.status();
       if (parsed.ValueUnsafe() > 0) {
         reused_ = true;

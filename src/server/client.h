@@ -23,6 +23,10 @@
 
 namespace mlake::server {
 
+/// The largest response body an HttpClient accepts; a larger one fails
+/// the call with ResourceExhausted.
+inline constexpr size_t kMaxResponseBytes = size_t{256} << 20;
+
 class HttpClient {
  public:
   HttpClient(std::string host, int port);

@@ -652,11 +652,13 @@ HttpResponse LakeServer::HandleReplicationFingerprint(RequestContext&) const {
         "replication log disabled on this lake"));
   }
   // last_seq rides along so a replica only compares fingerprints when
-  // its watermark has caught up to the state the fingerprint describes.
+  // its watermark has caught up to the state the fingerprint describes;
+  // seed_seq tells an empty replica whether a seed beats the log.
   Json out = Json::MakeObject();
   out.Set("fingerprint", lake_->ReplicationFingerprint());
   out.Set("epoch", lake_->ReplicationEpoch());
   out.Set("last_seq", lake_->ReplicationLastSeq());
+  out.Set("seed_seq", lake_->ReplicationSeedSeq());
   return JsonResponse(std::move(out));
 }
 

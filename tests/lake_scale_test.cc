@@ -21,6 +21,7 @@
 #include "common/string_util.h"
 #include "core/model_lake.h"
 #include "lakegen/lakegen.h"
+#include "snapshot_write_fs.h"
 
 namespace mlake::core {
 namespace {
@@ -406,60 +407,14 @@ TEST_F(LakeScaleTest, BackgroundCompactionTriggersAndConverges) {
   EXPECT_EQ(lake->KeywordScores("scale", 64).MoveValueUnsafe().size(), 40u);
 }
 
-/// Passthrough Fs that counts the snapshot files written into one
-/// index dir (WriteFileAtomic writes "<name>.snap.tmp.<n>" first).
-class SnapshotWriteCounter final : public Fs {
+/// Counts the snapshot files written into one index dir.
+class SnapshotWriteCounter final : public SnapshotWriteFs {
  public:
-  explicit SnapshotWriteCounter(std::string index_dir)
-      : index_dir_(std::move(index_dir) + "/") {}
-
+  using SnapshotWriteFs::SnapshotWriteFs;
   size_t snapshot_writes() const { return snapshot_writes_.load(); }
 
-  Result<std::string> ReadFile(const std::string& p) override {
-    return base_->ReadFile(p);
-  }
-  bool FileExists(const std::string& p) override {
-    return base_->FileExists(p);
-  }
-  Result<uint64_t> FileSize(const std::string& p) override {
-    return base_->FileSize(p);
-  }
-  Result<std::vector<std::string>> ListDir(const std::string& d) override {
-    return base_->ListDir(d);
-  }
-  Result<std::vector<std::string>> ListSubdirs(const std::string& d) override {
-    return base_->ListSubdirs(d);
-  }
-  Result<MmapFile> Mmap(const std::string& p) override {
-    return base_->Mmap(p);
-  }
-  Status WriteFile(const std::string& p, std::string_view data) override {
-    if (StartsWith(p, index_dir_) && p.find(".snap") != std::string::npos) {
-      ++snapshot_writes_;
-    }
-    return base_->WriteFile(p, data);
-  }
-  Status AppendFile(const std::string& p, std::string_view data) override {
-    return base_->AppendFile(p, data);
-  }
-  Status Truncate(const std::string& p, uint64_t size) override {
-    return base_->Truncate(p, size);
-  }
-  Status Rename(const std::string& from, const std::string& to) override {
-    return base_->Rename(from, to);
-  }
-  Status RemoveFile(const std::string& p) override {
-    return base_->RemoveFile(p);
-  }
-  Status CreateDirs(const std::string& p) override {
-    return base_->CreateDirs(p);
-  }
-  Status SyncFile(const std::string& p) override { return base_->SyncFile(p); }
-  Status SyncDir(const std::string& p) override { return base_->SyncDir(p); }
-
  private:
-  Fs* base_ = RealFs();
-  std::string index_dir_;
+  void OnSnapshotWrite(const std::string&) override { ++snapshot_writes_; }
   std::atomic<size_t> snapshot_writes_{0};
 };
 

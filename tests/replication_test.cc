@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +26,9 @@
 #include "digest_reference.h"
 #include "nn/trainer.h"
 #include "server/client.h"
+#include "server/frontend.h"
 #include "server/server.h"
+#include "snapshot_write_fs.h"
 #include "storage/intent_journal.h"
 
 namespace mlake::replication {
@@ -694,15 +699,210 @@ TEST_F(ReplicationTest, SeedCutAtGenerationThenTailReplays) {
   ExpectServesLikeLeader(leader_server_->port(), replica_server_->port());
 }
 
+// The seed carries the lineage revision the generation covers, so a
+// replica that replays the tail lands on the leader's revision — and on
+// its citation bytes, which pin it — even when later writes move the
+// revision in ways the log cannot tell apart: an edge auto-registering
+// a metadata-only model (no bump for the node), or an artifact ingest
+// of a model an earlier edge already made a node (no bump either).
+TEST_F(ReplicationTest, SeedCarriesGraphRevisionOfItsCut) {
+  versioning::VersionEdge early;
+  early.parent = "base-sum";
+  early.child = "late-2";  // a node before its artifact arrives
+  early.type = versioning::EdgeType::kFinetune;
+  ASSERT_TRUE(leader_lake_->RecordEdge(early).ok());
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "seed", 12, 3))
+          .ok());
+  ASSERT_TRUE(leader_lake_->CompactIndices().ok());
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "tail", 4, 4))
+          .ok());
+  versioning::VersionEdge to_card;
+  to_card.parent = "mean-1";
+  to_card.child = "tail-01";  // metadata-only, not yet a graph node
+  to_card.type = versioning::EdgeType::kFinetune;
+  ASSERT_TRUE(leader_lake_->RecordEdge(to_card).ok());
+  auto m5 = MakeModel(5);
+  ASSERT_TRUE(leader_lake_->IngestModel(*m5, Card("late-2", "sum")).ok());
+
+  OpenReplica();
+  auto applied = replicator_->SyncOnce();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(replicator_->seed_installs(), 1u);
+  EXPECT_EQ(applied.ValueUnsafe(), 3u);
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  StartReplicaServer();
+  ExpectServesLikeLeader(leader_server_->port(), replica_server_->port());
+  server::HttpClient leader("127.0.0.1", leader_server_->port());
+  server::HttpClient replica("127.0.0.1", replica_server_->port());
+  for (const std::string& id : {"tail-01", "late-2", "mean-1"}) {
+    const std::string target = "/v1/models/" + id + "/citation";
+    auto from_leader = leader.Get(target);
+    auto from_replica = replica.Get(target);
+    ASSERT_TRUE(from_leader.ok() && from_replica.ok()) << target;
+    ASSERT_EQ(from_leader.ValueUnsafe().status, 200) << target;
+    EXPECT_EQ(from_replica.ValueUnsafe().body, from_leader.ValueUnsafe().body)
+        << target;
+  }
+}
+
+// A leader whose seed cannot be had — refused as too large for one
+// response — still bootstraps an empty replica: the replica falls back
+// to the log, which the leader serves from seq 1. The stand-in leader
+// forwards everything to the real one but refuses the seed the way an
+// oversized one is refused.
+TEST_F(ReplicationTest, OversizedSeedFallsBackToLogReplay) {
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "seed", 24, 3))
+          .ok());
+  ASSERT_TRUE(leader_lake_->CompactIndices().ok());
+  ASSERT_GT(leader_lake_->ReplicationSeedSeq(), 0u);
+  const int real_port = leader_server_->port();
+  std::atomic<int> seed_requests{0};
+  auto forward = [real_port](server::RequestContext& ctx) {
+    server::HttpClient client("127.0.0.1", real_port);
+    auto response = client.Get(ctx.request.target);
+    if (!response.ok()) return server::ErrorResponse(response.status());
+    server::HttpResponse out;  // JSON, like every forwarded route
+    out.status = response.ValueUnsafe().status;
+    out.body = std::move(response.ValueUnsafe().body);
+    return out;
+  };
+  std::vector<server::Route> routes = {
+      {"GET", "/v1/replication/seed",
+       [&seed_requests](server::RequestContext&) {
+         ++seed_requests;
+         return server::ErrorResponse(Status::ResourceExhausted(
+             "replication seed exceeds the cap; replay the log instead"));
+       }},
+      {"GET", "/v1/replication/{rest}", forward},
+  };
+  server::HttpFrontend stand_in(server::FrontendOptions{}, std::move(routes));
+  ASSERT_TRUE(stand_in.Start().ok());
+
+  replica_lake_ =
+      core::ModelLake::Open(LakeOpts(replica_dir_)).MoveValueUnsafe();
+  ReplicaOptions options;
+  options.leader_port = stand_in.port();
+  replicator_ =
+      Replicator::Open(replica_lake_.get(), options).MoveValueUnsafe();
+  auto applied = replicator_->SyncOnce();
+  ASSERT_TRUE(stand_in.Stop().ok());
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(seed_requests.load(), 1);
+  EXPECT_EQ(replicator_->seed_installs(), 0u);
+  EXPECT_EQ(replicator_->entries_applied(), 6u);
+  EXPECT_EQ(replicator_->AppliedSeq(), leader_lake_->ReplicationLastSeq());
+  EXPECT_EQ(replica_lake_->ReplicationFingerprint(),
+            leader_lake_->ReplicationFingerprint());
+  StartReplicaServer();
+  ExpectServesLikeLeader(leader_server_->port(), replica_server_->port());
+}
+
+/// Parks the first index snapshot write after Arm() until Release(),
+/// so a test can hold a compaction pass in its lock-free write phase.
+class ParkingFs final : public SnapshotWriteFs {
+ public:
+  using SnapshotWriteFs::SnapshotWriteFs;
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  void OnSnapshotWrite(const std::string&) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) return;
+    armed_ = false;
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// A seed install never overlaps a compaction pass on the same replica.
+// The replica's own pass (generation 1, from its empty catalog) is held
+// while writing its files; the bootstrap seed also carries generation
+// 1. The install waits for the pass, so the generation the replica
+// publishes — and reopens on — is the leader's, file for file.
+TEST_F(ReplicationTest, SeedInstallWaitsForRunningCompactionPass) {
+  ASSERT_TRUE(
+      leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "seed", 24, 3))
+          .ok());
+  ASSERT_TRUE(leader_lake_->CompactIndices().ok());
+  ASSERT_EQ(leader_lake_->IndexGeneration(), 1u);
+
+  ParkingFs parking(JoinPath(replica_dir_, "index"));
+  core::LakeOptions replica_options = LakeOpts(replica_dir_);
+  replica_options.fs = &parking;
+  replica_lake_ = core::ModelLake::Open(replica_options).MoveValueUnsafe();
+  ReplicaOptions options;
+  options.leader_port = leader_server_->port();
+  replicator_ =
+      Replicator::Open(replica_lake_.get(), options).MoveValueUnsafe();
+
+  parking.Arm();
+  Status pass;
+  std::thread compactor([&] { pass = replica_lake_->CompactIndices(); });
+  parking.WaitParked();
+  Result<size_t> synced = Status::Internal("not run");
+  std::thread syncer([&] { synced = replicator_->SyncOnce(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  parking.Release();
+  compactor.join();
+  syncer.join();
+  ASSERT_TRUE(synced.ok()) << synced.status().ToString();
+  EXPECT_TRUE(pass.ok() || pass.IsUnavailable()) << pass.ToString();
+  EXPECT_EQ(replicator_->seed_installs(), 1u);
+  EXPECT_EQ(replica_lake_->IndexGeneration(), 1u);
+
+  for (const char* name :
+       {"MANIFEST.json", "ann.1.snap", "bm25.1.snap", "lsh.1.snap",
+        "ids.1.snap"}) {
+    auto on_leader = ReadFile(JoinPath(JoinPath(leader_dir_, "index"), name));
+    auto on_replica =
+        ReadFile(JoinPath(JoinPath(replica_dir_, "index"), name));
+    ASSERT_TRUE(on_leader.ok() && on_replica.ok()) << name;
+    EXPECT_EQ(on_replica.ValueUnsafe(), on_leader.ValueUnsafe()) << name;
+  }
+  replicator_.reset();
+  replica_lake_.reset();
+  OpenReplica();
+  EXPECT_EQ(replica_lake_->IndexGeneration(), 1u);
+  ASSERT_TRUE(replicator_->SyncOnce().ok());
+  EXPECT_EQ(replicator_->entries_applied(), 0u);
+  Json leader_ann = *leader_lake_->IndexStatsJson().Find("ann");
+  Json replica_ann = *replica_lake_->IndexStatsJson().Find("ann");
+  EXPECT_EQ(replica_ann.Dump(), leader_ann.Dump());
+  StartReplicaServer();
+  ExpectServesLikeLeader(leader_server_->port(), replica_server_->port());
+}
+
 // Starting point 3: no generation on the leader. Nothing is advertised,
 // and the log replays from seq 1 as before.
 TEST_F(ReplicationTest, WithoutGenerationTheLogReplays) {
   ASSERT_TRUE(
       leader_lake_->IngestCards(CardBatch(leader_lake_.get(), "seed", 24, 3))
           .ok());
-  EXPECT_EQ(leader_lake_->ReplicationLogJson(1, 4).ValueOrDie().GetInt64(
-                "seed_seq"),
-            0);
+  EXPECT_EQ(leader_lake_->ReplicationSeedSeq(), 0u);
   OpenReplica();
   auto applied = replicator_->SyncOnce();
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
